@@ -8,12 +8,19 @@ cost[i][l] += (y_j - (1, t_j[F]) phi_i^(l))^2 (Line 7 of Algorithm 3).
 Each tuple then keeps the candidate model with the lowest accumulated
 validation cost.
 
-Distribution strategy: the relation r is broadcast once; a first Spark
-pass computes every tuple's k nearest neighbors (validation
-assignments), which are inverted into reverse-kNN lists on the driver
-(n*k ids — tiny); a second pass fans the per-tuple candidate sweep out
-over executors, with the incremental prefix computation of Proposition
-3 inside each task.
+Distribution strategy: the relation r is collected and broadcast once.
+The driver computes, KNN_BLOCK rows at a time, every tuple's k nearest
+neighbors within r (the validation assignments) and, for one-shot
+imputation, the incomplete tuples' k nearest complete tuples (Algorithm
+2), both with the (distance, id) rule of knn_numpy. It inverts the
+validation assignments into reverse-kNN lists over all n tuples (n*k
+ids — tiny); one Spark pass fans the per-tuple candidate sweep out over
+executors, with the incremental prefix computation of Proposition 3
+inside each task. :func:`adaptive_learn` sweeps every tuple (learn
+once, impute many); one-shot imputation sweeps only the incomplete
+tuples' neighbors, the only models Algorithm 2 reads. A swept tuple's
+validation set comes from the full self-kNN either way, so its l* and
+phi do not depend on which other tuples are swept.
 
 ``adaptive_reference`` is a literal, driver-side O(n^2 * |grid|)
 transcription of Algorithm 3 used by the tests to pin down the
@@ -27,13 +34,7 @@ from typing import Iterator, Sequence
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import (
-    ArrayType,
-    DoubleType,
-    LongType,
-    StructField,
-    StructType,
-)
+from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
 from . import linalg
 from .nn import ID, Relation, collect_relation, knn_numpy, pairwise_dist
@@ -54,11 +55,19 @@ DEFAULT_L_MAX: int | None = None
 #: Grid is thinned so it never exceeds this many candidate l values
 #: unless the caller pins h explicitly (paper uses h=50 at n>=10k).
 MAX_GRID_POINTS = 64
+#: Rows per distance block of the driver-side kNN, so the driver holds
+#: at most KNN_BLOCK x n distances whatever the number of rows.
+KNN_BLOCK = 256
 
 
 def auto_step(n: int, l_max: int | None) -> int:
     cap = n if l_max is None else min(n, l_max)
     return max(1, math.ceil(cap / MAX_GRID_POINTS))
+
+
+def _validation_k(n: int, k: int) -> int:
+    """Neighbors per validation assignment: k, less the tuple itself."""
+    return min(k, n - 1) if n > 1 else 1
 
 
 def _sorted_neighbor_order(rel: Relation, pos: int) -> np.ndarray:
@@ -115,19 +124,80 @@ def _reverse_validation(rel: Relation, nn_idx: np.ndarray, k: int) -> list[np.nd
     return out
 
 
-def _self_knn(rel: Relation, k: int, block: int = 2048) -> np.ndarray:
-    """kNN of every tuple within r, excluding itself, computed in query
-    blocks so the n x n distance matrix is never materialized at once."""
-    kk = min(k, rel.n - 1) if rel.n > 1 else 1
-    out = np.empty((rel.n, kk), dtype=np.int64)
-    for s in range(0, rel.n, block):
-        e = min(s + block, rel.n)
-        idx, _ = knn_numpy(
-            rel.X[s:e], rel.X, kk,
-            r_ids=rel.ids, exclude_ids=rel.ids[s:e], q_ids=rel.ids[s:e],
+def _knn(rel: Relation, X: np.ndarray, k: int, own_ids: np.ndarray | None = None) -> np.ndarray:
+    """Positions of the k nearest tuples of r to each row of ``X``, nearest
+    first, computed on the driver in KNN_BLOCK-row blocks. ``own_ids``
+    (aligned with X) excludes each row's own tuple."""
+    out = np.empty((len(X), min(k, rel.n)), dtype=np.int64)
+    for s in range(0, len(X), KNN_BLOCK):
+        ex = None if own_ids is None else own_ids[s:s + KNN_BLOCK]
+        out[s:s + KNN_BLOCK], _ = knn_numpy(
+            X[s:s + KNN_BLOCK], rel.X, k, r_ids=rel.ids, exclude_ids=ex, q_ids=ex
         )
-        out[s:e] = idx
     return out
+
+
+def _self_knn(rel: Relation, k: int) -> np.ndarray:
+    """kNN of every tuple within r, excluding itself: the validation
+    assignments of Algorithm 3."""
+    return _knn(rel, rel.X, _validation_k(rel.n, k), rel.ids)
+
+
+def _sweep(
+    spark: SparkSession,
+    b,
+    positions: np.ndarray,
+    grid: np.ndarray,
+    val_sets: list[np.ndarray],
+    alpha: float,
+    incremental: bool,
+) -> DataFrame:
+    """Candidate sweep and validation scoring (Algorithm 3, lines 3-9) of
+    the tuples at ``positions``, fanned out over executors. Returns
+    ``(row_id, phi, l_star)``."""
+    vs = {int(p): val_sets[p] for p in positions}  # shipped with the task closure
+
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        rv: Relation = b.value
+        for pdf in batches:
+            rows = []
+            for pos in pdf["pos"].to_numpy(np.int64):
+                phi, l_star = _pick(rv, pos, grid, alpha, vs[int(pos)], incremental=incremental)
+                rows.append((int(rv.ids[pos]), phi.tolist(), l_star))
+            yield pd.DataFrame(rows, columns=[ID, "phi", "l_star"])
+
+    src = spark.createDataFrame(pd.DataFrame({"pos": np.asarray(positions, np.int64)}), "pos long")
+    return src.mapInPandas(run, ADAPTIVE_SCHEMA)
+
+
+def adaptive_models(
+    spark: SparkSession,
+    r: DataFrame,
+    F: Sequence[str],
+    A_x: str,
+    queries: np.ndarray | None = None,
+    *,
+    k: int = 10,
+    h: int | None = None,
+    l_max: int | None = DEFAULT_L_MAX,
+    alpha: float = linalg.DEFAULT_ALPHA,
+    incremental: bool = True,
+) -> tuple[Relation, DataFrame, np.ndarray | None]:
+    """Algorithm 3 for the models that imputing ``queries`` (the F values
+    of the incomplete tuples) reads — every complete tuple when
+    ``queries`` is None.
+
+    Collects and broadcasts r once and returns the collected Relation,
+    the (lazy) ``(row_id, phi, l_star)`` models of the swept tuples and
+    the positions of each query's k nearest tuples of r.
+    """
+    rel = collect_relation(r, F, A_x)
+    b = spark.sparkContext.broadcast(rel)
+    val_sets = _reverse_validation(rel, _self_knn(rel, k), k)
+    query_nn = None if queries is None else _knn(rel, queries, k)
+    grid = linalg.make_grid(rel.n, h or auto_step(rel.n, l_max), l_max)
+    positions = np.arange(rel.n) if query_nn is None else np.unique(query_nn)
+    return rel, _sweep(spark, b, positions, grid, val_sets, alpha, incremental), query_nn
 
 
 def adaptive_learn(
@@ -142,31 +212,19 @@ def adaptive_learn(
     alpha: float = linalg.DEFAULT_ALPHA,
     incremental: bool = True,
 ) -> DataFrame:
-    """Distributed Algorithm 3. Returns ``(row_id, phi, l_star)``.
+    """Distributed Algorithm 3 over every complete tuple. Returns
+    ``(row_id, phi, l_star)``.
 
+    This is the learn-once mode: the models can be cached and handed to
+    :func:`repro.core.iim.impute` for any number of query batches.
     ``incremental=False`` swaps in the from-scratch candidate sweep (the
     straightforward baseline of Table III / Fig. 12); results are
     identical, only slower — asserted by tests.
     """
-    rel = collect_relation(r, F, A_x)
-    grid = linalg.make_grid(rel.n, h or auto_step(rel.n, l_max), l_max)
-    nn_idx = _self_knn(rel, k)
-    val_sets = _reverse_validation(rel, nn_idx, k)
-    pos_of_id = {int(i): p for p, i in enumerate(rel.ids)}
-    b = spark.sparkContext.broadcast((rel, grid, val_sets, pos_of_id, alpha, incremental))
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        rv, g, vs, pos_of, a, inc = b.value
-        for pdf in batches:
-            rows = []
-            for rid in pdf[ID].to_numpy(np.int64):
-                pos = pos_of[int(rid)]
-                phi, l_star = _pick(rv, pos, g, a, vs[pos], incremental=inc)
-                rows.append((int(rid), phi.tolist(), l_star))
-            yield pd.DataFrame(rows, columns=[ID, "phi", "l_star"])
-
-    src = r.select(ID).repartition(spark.sparkContext.defaultParallelism)
-    return src.mapInPandas(run, ADAPTIVE_SCHEMA)
+    _, models, _ = adaptive_models(
+        spark, r, F, A_x, k=k, h=h, l_max=l_max, alpha=alpha, incremental=incremental
+    )
+    return models
 
 
 def adaptive_reference(

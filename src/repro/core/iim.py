@@ -207,16 +207,45 @@ def _impute_broadcast(spark, r, incomplete, models, F, A_x, k, weighting):
                 continue
             Q = pdf[cols].to_numpy(np.float64)
             idx, _ = knn_numpy(Q, rv.X, kk, r_ids=rv.ids)
-            # candidates: (q, k) — each neighbor's model applied to t_x[F]
-            P = Ph[idx]  # (q, k, m)
-            cand = P[:, :, 0] + np.einsum("qkm,qm->qk", P[:, :, 1:], Q)
-            vals = combine_candidates(cand, weighting=weighting)
+            vals = _vote(Ph, idx, Q, weighting)
             yield pd.DataFrame({ID: pdf[ID].to_numpy(np.int64), "imputed": vals})
 
     src = incomplete.select(ID, *cols).repartition(
         spark.sparkContext.defaultParallelism
     )
     return src.mapInPandas(run, IMPUTED_SCHEMA)
+
+
+def _vote(Phi: np.ndarray, nn: np.ndarray, Q: np.ndarray, weighting: str) -> np.ndarray:
+    """Formulas 9-12: the model ``Phi[nn[x, i]]`` of each of t_x's
+    neighbors predicts a candidate from ``Q[x]``; the vote combines them.
+    ``Q`` is made C-contiguous because einsum's rounding follows the memory
+    layout: pandas hands out F-ordered matrices, except for a single row,
+    and a row must impute the same whatever path or batch supplied it."""
+    P = Phi[nn]  # (q, k, m)
+    cand = P[:, :, 0] + np.einsum("qkm,qm->qk", P[:, :, 1:], np.ascontiguousarray(Q))
+    return combine_candidates(cand, weighting=weighting)
+
+
+def _impute_adaptive(spark, r, incomplete, F, A_x, k, h, l_max, alpha, weighting):
+    """Algorithms 3 and 2 in one run: learn only the models of the
+    incomplete tuples' k nearest complete neighbors, then vote."""
+    from .adaptive import adaptive_models  # local import: avoid cycle
+
+    qp = incomplete.select(ID, *F).toPandas().sort_values(ID)
+    Q = qp[list(F)].to_numpy(np.float64)
+    rel, models, nn = adaptive_models(
+        spark, r, F, A_x, Q, k=k, h=h, l_max=l_max, alpha=alpha
+    )
+    mp = models.toPandas()
+    Phi = np.full((rel.n, len(F) + 1), np.nan)  # rows no query reads stay NaN
+    Phi[np.searchsorted(rel.ids, mp[ID].to_numpy(np.int64))] = np.array(
+        mp["phi"].tolist(), dtype=np.float64
+    ).reshape(len(mp), len(F) + 1)
+    vals = _vote(Phi, nn, Q, weighting)
+    return spark.createDataFrame(
+        pd.DataFrame({ID: qp[ID].to_numpy(np.int64), "imputed": vals}), IMPUTED_SCHEMA
+    )
 
 
 def iim_impute(
@@ -239,17 +268,30 @@ def iim_impute(
 
     ``l`` set -> fixed-l Algorithm 1; otherwise adaptive Algorithm 3
     (the paper's recommended mode) with stepping ``h`` (auto if None).
+
+    Adaptive mode on the broadcast engine is demand-driven: r is
+    collected and broadcast once, the driver finds every complete tuple's
+    validation neighbors and every incomplete tuple's k nearest complete
+    tuples, and the candidate sweep runs on executors only for the union
+    of the latter — the only models Algorithm 2 reads. Their l* and phi are
+    those of full learning, so the imputations are too. To learn every
+    model once and impute many query batches, call
+    :func:`repro.core.adaptive.adaptive_learn` and then :func:`impute`.
     """
     if l is not None:
         models = learn_models(spark, r, F, A_x, l, alpha=alpha, engine=engine)
-    elif adaptive:
+    elif not adaptive:
+        raise ValueError("either fix l or enable adaptive learning")
+    elif engine != "sql":
+        return _impute_adaptive(
+            spark, r, incomplete, F, A_x, k, h, l_max, alpha, weighting
+        )
+    else:
         from .adaptive import adaptive_learn  # local import: avoid cycle
 
         models = adaptive_learn(
             spark, r, F, A_x, k=k, h=h, l_max=l_max, alpha=alpha
         )
-    else:
-        raise ValueError("either fix l or enable adaptive learning")
     return impute(
         spark, r, incomplete, models, F, A_x, k, weighting=weighting, engine=engine
     )

@@ -9,7 +9,7 @@ the paper's examples):
   the (query, neighbor, rank, distance) pairs. This is the
   "nearest-neighbor lookup via joins" path; quadratic, used at test
   scale and oracle-checked.
-* :func:`knn_numpy` / :func:`BroadcastRelation` — vectorized numpy kNN
+* :func:`knn_numpy` on a collected :class:`Relation` — vectorized numpy kNN
   against a broadcast copy of r, used inside mapInPandas partitions by
   the scalable engines.
 
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F_
 
 
@@ -154,11 +154,6 @@ def collect_relation(df: DataFrame, F: Sequence[str], A_x: str, id_col: str = ID
         X=pdf[list(F)].to_numpy(np.float64),
         y=pdf[A_x].to_numpy(np.float64),
     )
-
-
-def broadcast_relation(spark: SparkSession, rel: Relation):
-    """Broadcast a Relation to executors once per imputation run."""
-    return spark.sparkContext.broadcast(rel)
 
 
 def knn_pairs_numpy(rel: Relation, k: int, *, exclude_self: bool) -> pd.DataFrame:

@@ -26,8 +26,6 @@ from ..ml.kmeans import KMeans
 from ..ml.knn_classifier import IBk
 from . import metrics
 
-DEFAULT_K = 10
-
 
 def fill_masked(
     spark: SparkSession,
@@ -105,9 +103,7 @@ def clustering_app(
     row["Missing"] = round(metrics.purity(truth_labels[keep], lab), 3)
 
     for m in methods or list(METHODS):
-        params = dict((method_params or {}).get(m, {}))
-        if m in ("IIM", "kNN", "kNNE", "ERACER") and "k" not in params:
-            params["k"] = DEFAULT_K
+        params = METHODS[m].params((method_params or {}).get(m))
         filled = fill_masked(spark, masked, attrs, m, **params)
         if filled is None:
             row[m] = "-"
@@ -150,9 +146,7 @@ def classification_app(
     row: dict[str, float | str] = {"Dataset": name}
     row["Missing"] = round(_cv_f1(pdf, attrs, seed=seed), 3)
     for m in methods or list(METHODS):
-        params = dict((method_params or {}).get(m, {}))
-        if m in ("IIM", "kNN", "kNNE", "ERACER") and "k" not in params:
-            params["k"] = DEFAULT_K
+        params = METHODS[m].params((method_params or {}).get(m))
         filled = fill_masked(spark, pdf, attrs, m, **params)
         if filled is None:
             row[m] = "-"

@@ -16,7 +16,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from ..baselines import METHODS
+from ..baselines import DEFAULT_K, METHODS
 from ..datasets import attributes, generate, inject_missing
 from ..datasets.generators import ID
 from . import metrics
@@ -39,10 +39,6 @@ SCALES: dict[str, dict[str, int]] = {
 }
 
 TABLE_V_DATASETS = ["ASF", "CA", "CCPP", "CCS", "DA", "PHASE", "SN"]
-
-#: Default method parameters per run; IIM's own defaults (adaptive l,
-#: vote weighting) live in iim_impute.
-DEFAULT_K = 10
 
 
 @dataclass
@@ -148,11 +144,7 @@ def dataset_row(
     results: dict[str, pd.DataFrame | None] = {}
     try:
         for m in methods:
-            params = dict((method_params or {}).get(m, {}))
-            if m in ("kNN", "kNNE", "ERACER") and "k" not in params:
-                params["k"] = DEFAULT_K
-            if m == "IIM" and "k" not in params:
-                params["k"] = DEFAULT_K
+            params = METHODS[m].params((method_params or {}).get(m))
             results[m] = impute_with(spark, exp, m, **params)
         # R^2_S from kNN imputations, R^2_H from GLR imputations (VI-A2)
         knn_res = results.get("kNN")

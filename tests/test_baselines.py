@@ -4,7 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines import METHODS
+from repro.baselines import DEFAULT_K, METHODS
 from repro.baselines.regression import glr_fit
 from repro.core import linalg
 from repro.oracle import assert_equivalent
@@ -239,3 +239,10 @@ class TestRegistry:
     def test_multivariate_flags_match_paper(self):
         dashes = {m.name for m in METHODS.values() if m.requires_multivariate}
         assert dashes == {"SVD", "ILLS", "XGB"}
+
+    def test_default_k_for_neighbor_methods(self):
+        with_k = {m.name for m in METHODS.values() if "k" in m.params()}
+        assert with_k == {"IIM", "kNN", "kNNE", "ERACER"}
+        assert METHODS["kNN"].params() == {"k": DEFAULT_K}
+        assert METHODS["kNN"].params({"k": 3}) == {"k": 3}
+        assert METHODS["GLR"].params({"alpha": 1.0}) == {"alpha": 1.0}
