@@ -13,12 +13,9 @@ linearly with the grid cap; incremental cost stays flat — the paper's
     spark-submit jobs/table_iii.py [--n 2000] [--h 50]
 """
 import argparse
-import sys
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_spark  # noqa: E402
+from repro.session import get_spark
 
 
 def main() -> None:

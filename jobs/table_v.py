@@ -5,11 +5,8 @@ attribute each), plus measured R^2_S / R^2_H.
     spark-submit jobs/table_v.py [--scale tiny|small|full] [--seed 0]
 """
 import argparse
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_spark  # noqa: E402
+from repro.session import get_spark
 
 
 def main() -> None:

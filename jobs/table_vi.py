@@ -4,11 +4,8 @@ over the ASF dataset with 100 incomplete tuples.
     spark-submit jobs/table_vi.py [--scale tiny|small|full]
 """
 import argparse
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_spark  # noqa: E402
+from repro.session import get_spark
 
 
 def main() -> None:

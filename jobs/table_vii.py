@@ -6,11 +6,8 @@ with Weka-style missing-distance as the no-imputation baseline).
     spark-submit jobs/table_vii.py [--scale tiny|small|full]
 """
 import argparse
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_spark  # noqa: E402
+from repro.session import get_spark
 
 
 def main() -> None:

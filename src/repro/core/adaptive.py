@@ -6,21 +6,25 @@ V-A2). Every complete tuple t_j doubles as a validation tuple: its
 value y_j is withheld and each of its k nearest neighbors t_i scores
 cost[i][l] += (y_j - (1, t_j[F]) phi_i^(l))^2 (Line 7 of Algorithm 3).
 Each tuple then keeps the candidate model with the lowest accumulated
-validation cost.
+validation cost. Fixed-l learning (Algorithm 1) is the same pipeline
+with the one-point grid {l} and nothing to validate.
 
-Distribution strategy: the relation r is collected and broadcast once.
-The driver computes, KNN_BLOCK rows at a time, every tuple's k nearest
-neighbors within r (the validation assignments) and, for one-shot
-imputation, the incomplete tuples' k nearest complete tuples (Algorithm
-2), both with the (distance, id) rule of knn_numpy. It inverts the
-validation assignments into reverse-kNN lists over all n tuples (n*k
-ids — tiny); one Spark pass fans the per-tuple candidate sweep out over
-executors, with the incremental prefix computation of Proposition 3
-inside each task. :func:`adaptive_learn` sweeps every tuple (learn
-once, impute many); one-shot imputation sweeps only the incomplete
-tuples' neighbors, the only models Algorithm 2 reads. A swept tuple's
-validation set comes from the full self-kNN either way, so its l* and
-phi do not depend on which other tuples are swept.
+This is the only learner of the broadcast engine. The relation r is
+collected and broadcast once. The driver computes, KNN_BLOCK rows at a
+time, every tuple's k nearest neighbors within r (the validation
+assignments, adaptive l only) and, for one-shot imputation, the
+incomplete tuples' k nearest complete tuples (Algorithm 2), both with
+the (distance, id) rule of knn_numpy. It inverts the validation
+assignments into reverse-kNN lists over all n tuples (n*k ids — tiny);
+one Spark pass fans the per-tuple candidate sweep out over executors,
+with the incremental prefix computation of Proposition 3 inside each
+task. Each tuple ranks itself first, so its l=1 model is its own value
+(Section III-A2) even when it has a duplicate with a lower id.
+:func:`adaptive_learn` sweeps every tuple (learn once, impute many);
+one-shot imputation sweeps only the incomplete tuples' neighbors, the
+only models Algorithm 2 reads. A swept tuple's validation set comes
+from the full self-kNN either way, so its l* and phi do not depend on
+which other tuples are swept.
 
 ``adaptive_reference`` is a literal, driver-side O(n^2 * |grid|)
 transcription of Algorithm 3 used by the tests to pin down the
@@ -105,7 +109,7 @@ def _pick(
     return phis[g], int(grid[g])
 
 
-def _reverse_validation(rel: Relation, nn_idx: np.ndarray, k: int) -> list[np.ndarray]:
+def _reverse_validation(rel: Relation, nn_idx: np.ndarray) -> list[np.ndarray]:
     """Invert per-tuple kNN assignments into reverse-kNN validation lists.
 
     ``nn_idx[j]`` holds positions of NN(t_j, F, k) excluding t_j itself.
@@ -182,10 +186,11 @@ def adaptive_models(
     l_max: int | None = DEFAULT_L_MAX,
     alpha: float = linalg.DEFAULT_ALPHA,
     incremental: bool = True,
+    l: int | None = None,
 ) -> tuple[Relation, DataFrame, np.ndarray | None]:
-    """Algorithm 3 for the models that imputing ``queries`` (the F values
-    of the incomplete tuples) reads — every complete tuple when
-    ``queries`` is None.
+    """Algorithm 3 (or, with ``l`` set, Algorithm 1) for the models that
+    imputing ``queries`` (the F values of the incomplete tuples) reads —
+    every complete tuple when ``queries`` is None.
 
     Collects and broadcasts r once and returns the collected Relation,
     the (lazy) ``(row_id, phi, l_star)`` models of the swept tuples and
@@ -193,9 +198,13 @@ def adaptive_models(
     """
     rel = collect_relation(r, F, A_x)
     b = spark.sparkContext.broadcast(rel)
-    val_sets = _reverse_validation(rel, _self_knn(rel, k), k)
+    if l is None:
+        grid = linalg.make_grid(rel.n, h or auto_step(rel.n, l_max), l_max)
+        val_sets = _reverse_validation(rel, _self_knn(rel, k))
+    else:  # one candidate: nothing to validate, so no self-kNN
+        grid = np.array([min(l, rel.n)], dtype=np.int64)
+        val_sets = [np.empty(0, dtype=np.int64)] * rel.n
     query_nn = None if queries is None else _knn(rel, queries, k)
-    grid = linalg.make_grid(rel.n, h or auto_step(rel.n, l_max), l_max)
     positions = np.arange(rel.n) if query_nn is None else np.unique(query_nn)
     return rel, _sweep(spark, b, positions, grid, val_sets, alpha, incremental), query_nn
 

@@ -2,9 +2,9 @@
 
 Learning phase (:func:`learn_models`): for each complete tuple t_i in r,
 take its l nearest neighbors on the complete attributes F (the tuple
-itself included, as in the paper's Example 2) and fit an individual
-ridge regression F -> A_x (Formula 5); l=1 uses the single-neighbor
-rule.
+itself first, as in the paper's Example 2) and fit an individual ridge
+regression F -> A_x (Formula 5); l=1 uses the single-neighbor rule, so
+t_i's model is its own value.
 
 Imputation phase (:func:`impute`): for each incomplete tuple t_x, take
 its k nearest complete neighbors, let each neighbor's individual model
@@ -17,13 +17,15 @@ Both phases come in two engines:
 
 * ``engine="sql"`` — nearest-neighbor lookup via a Catalyst crossJoin +
   window plan and per-group applyInPandas; test-scale, oracle-friendly.
-* ``engine="broadcast"`` — the complete relation is broadcast as numpy
-  and each partition does vectorized work via mapInPandas; this is the
-  scalable path used by the experiment harness.
+* ``engine="broadcast"`` — the scalable path used by the experiment
+  harness. Learning is :mod:`repro.core.adaptive`'s pipeline (fixed l is
+  its one-point grid): r is collected and broadcast once and executors
+  sweep the candidate models. Imputation runs on the driver: the
+  incomplete tuples' kNN in blocks, then the vote.
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
@@ -32,7 +34,8 @@ from pyspark.sql import functions as F_
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
 from . import linalg
-from .nn import ID, Relation, collect_relation, knn_join, knn_numpy
+from .adaptive import _knn, adaptive_learn, adaptive_models
+from .nn import ID, collect_relation, knn_join
 
 MODEL_SCHEMA = StructType(
     [
@@ -47,13 +50,6 @@ IMPUTED_SCHEMA = StructType(
         StructField("imputed", DoubleType(), False),
     ]
 )
-
-
-def _fit_sorted(X_nn: np.ndarray, y_nn: np.ndarray, alpha: float) -> np.ndarray:
-    """Fit the individual model over already-selected neighbors."""
-    if len(y_nn) == 1:
-        return linalg.single_neighbor_phi(y_nn[0], X_nn.shape[1] + 1)
-    return linalg.ridge_fit(X_nn, y_nn, alpha)
 
 
 # ---------------------------------------------------------------- learning
@@ -76,11 +72,14 @@ def learn_models(
     """
     if engine == "sql":
         return _learn_sql(spark, r, F, A_x, l, alpha)
-    return _learn_broadcast(spark, r, F, A_x, l, alpha)
+    _, models, _ = adaptive_models(spark, r, F, A_x, alpha=alpha, l=l)
+    return models.select(ID, "phi")
 
 
 def _learn_sql(spark, r, F, A_x, l, alpha):
-    nn = knn_join(r, r, F, l, exclude_self=False)
+    # t_i is its own nearest neighbor (rank 0), ahead of any duplicate
+    own = r.select(F_.col(ID).alias("q_id"), F_.col(ID).alias("n_id"), F_.lit(0).alias("rank"))
+    nn = own.union(knn_join(r, r, F, l - 1, exclude_self=True).drop("dist"))
     feats = r.select(
         F_.col(ID).alias("n_id"), *[F_.col(a) for a in F], F_.col(A_x).alias("_y")
     )
@@ -89,35 +88,12 @@ def _learn_sql(spark, r, F, A_x, l, alpha):
 
     def fit(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values("rank")
-        phi = _fit_sorted(
-            pdf[cols].to_numpy(np.float64), pdf["_y"].to_numpy(np.float64), alpha
-        )
+        phi = linalg.prefix_params(
+            pdf[cols].to_numpy(np.float64), pdf["_y"].to_numpy(np.float64), [len(pdf)], alpha
+        )[0]
         return pd.DataFrame({ID: [pdf["q_id"].iloc[0]], "phi": [phi.tolist()]})
 
     return joined.groupBy("q_id").applyInPandas(fit, MODEL_SCHEMA)
-
-
-def _learn_broadcast(spark, r, F, A_x, l, alpha):
-    rel = collect_relation(r, F, A_x)
-    b = spark.sparkContext.broadcast(rel)
-    cols = list(F)
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        rv: Relation = b.value
-        ll = min(l, rv.n)
-        for pdf in batches:
-            Q = pdf[cols].to_numpy(np.float64)
-            idx, _ = knn_numpy(Q, rv.X, ll, r_ids=rv.ids)
-            phis = []
-            for qi in range(len(pdf)):
-                nn_i = idx[qi]
-                phis.append(
-                    _fit_sorted(rv.X[nn_i], rv.y[nn_i], alpha).tolist()
-                )
-            yield pd.DataFrame({ID: pdf[ID].to_numpy(np.int64), "phi": phis})
-
-    src = r.select(ID, *cols).repartition(spark.sparkContext.defaultParallelism)
-    return src.mapInPandas(run, MODEL_SCHEMA)
 
 
 # --------------------------------------------------------------- combining
@@ -196,27 +172,24 @@ def _impute_broadcast(spark, r, incomplete, models, F, A_x, k, weighting):
     if not np.array_equal(mp[ID].to_numpy(np.int64), rel.ids):
         raise ValueError("models must cover exactly the complete relation r")
     Phi = np.array(mp["phi"].tolist(), dtype=np.float64)  # aligned with rel rows
-    b = spark.sparkContext.broadcast((rel, Phi))
-    cols = list(F)
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        rv, Ph = b.value
-        kk = min(k, rv.n)
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            Q = pdf[cols].to_numpy(np.float64)
-            idx, _ = knn_numpy(Q, rv.X, kk, r_ids=rv.ids)
-            vals = _vote(Ph, idx, Q, weighting)
-            yield pd.DataFrame({ID: pdf[ID].to_numpy(np.int64), "imputed": vals})
-
-    src = incomplete.select(ID, *cols).repartition(
-        spark.sparkContext.defaultParallelism
-    )
-    return src.mapInPandas(run, IMPUTED_SCHEMA)
+    q_ids, Q = _queries(incomplete, F)
+    return _vote(spark, q_ids, Q, Phi, _knn(rel, Q, k), weighting)
 
 
-def _vote(Phi: np.ndarray, nn: np.ndarray, Q: np.ndarray, weighting: str) -> np.ndarray:
+def _queries(incomplete: DataFrame, F: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Ids and F values of the incomplete tuples, collected in id order."""
+    qp = incomplete.select(ID, *F).toPandas().sort_values(ID)
+    return qp[ID].to_numpy(np.int64), qp[list(F)].to_numpy(np.float64)
+
+
+def _vote(
+    spark: SparkSession,
+    q_ids: np.ndarray,
+    Q: np.ndarray,
+    Phi: np.ndarray,
+    nn: np.ndarray,
+    weighting: str,
+) -> DataFrame:
     """Formulas 9-12: the model ``Phi[nn[x, i]]`` of each of t_x's
     neighbors predicts a candidate from ``Q[x]``; the vote combines them.
     ``Q`` is made C-contiguous because einsum's rounding follows the memory
@@ -224,28 +197,8 @@ def _vote(Phi: np.ndarray, nn: np.ndarray, Q: np.ndarray, weighting: str) -> np.
     and a row must impute the same whatever path or batch supplied it."""
     P = Phi[nn]  # (q, k, m)
     cand = P[:, :, 0] + np.einsum("qkm,qm->qk", P[:, :, 1:], np.ascontiguousarray(Q))
-    return combine_candidates(cand, weighting=weighting)
-
-
-def _impute_adaptive(spark, r, incomplete, F, A_x, k, h, l_max, alpha, weighting):
-    """Algorithms 3 and 2 in one run: learn only the models of the
-    incomplete tuples' k nearest complete neighbors, then vote."""
-    from .adaptive import adaptive_models  # local import: avoid cycle
-
-    qp = incomplete.select(ID, *F).toPandas().sort_values(ID)
-    Q = qp[list(F)].to_numpy(np.float64)
-    rel, models, nn = adaptive_models(
-        spark, r, F, A_x, Q, k=k, h=h, l_max=l_max, alpha=alpha
-    )
-    mp = models.toPandas()
-    Phi = np.full((rel.n, len(F) + 1), np.nan)  # rows no query reads stay NaN
-    Phi[np.searchsorted(rel.ids, mp[ID].to_numpy(np.int64))] = np.array(
-        mp["phi"].tolist(), dtype=np.float64
-    ).reshape(len(mp), len(F) + 1)
-    vals = _vote(Phi, nn, Q, weighting)
-    return spark.createDataFrame(
-        pd.DataFrame({ID: qp[ID].to_numpy(np.int64), "imputed": vals}), IMPUTED_SCHEMA
-    )
+    vals = combine_candidates(cand, weighting=weighting)
+    return spark.createDataFrame(pd.DataFrame({ID: q_ids, "imputed": vals}), IMPUTED_SCHEMA)
 
 
 def iim_impute(
@@ -269,29 +222,31 @@ def iim_impute(
     ``l`` set -> fixed-l Algorithm 1; otherwise adaptive Algorithm 3
     (the paper's recommended mode) with stepping ``h`` (auto if None).
 
-    Adaptive mode on the broadcast engine is demand-driven: r is
-    collected and broadcast once, the driver finds every complete tuple's
-    validation neighbors and every incomplete tuple's k nearest complete
-    tuples, and the candidate sweep runs on executors only for the union
-    of the latter — the only models Algorithm 2 reads. Their l* and phi are
-    those of full learning, so the imputations are too. To learn every
-    model once and impute many query batches, call
-    :func:`repro.core.adaptive.adaptive_learn` and then :func:`impute`.
+    The broadcast engine is demand-driven: r is collected and broadcast
+    once, the driver finds the incomplete tuples' k nearest complete
+    tuples (and, for adaptive l, every complete tuple's validation
+    neighbors), and the candidate sweep runs on executors only for the
+    union of the former — the only models Algorithm 2 reads. Their l* and
+    phi are those of full learning, so the imputations are too. To learn
+    every model once and impute many query batches, call
+    :func:`learn_models` or :func:`repro.core.adaptive.adaptive_learn`
+    and then :func:`impute`.
     """
-    if l is not None:
-        models = learn_models(spark, r, F, A_x, l, alpha=alpha, engine=engine)
-    elif not adaptive:
+    if l is None and not adaptive:
         raise ValueError("either fix l or enable adaptive learning")
-    elif engine != "sql":
-        return _impute_adaptive(
-            spark, r, incomplete, F, A_x, k, h, l_max, alpha, weighting
-        )
-    else:
-        from .adaptive import adaptive_learn  # local import: avoid cycle
-
-        models = adaptive_learn(
-            spark, r, F, A_x, k=k, h=h, l_max=l_max, alpha=alpha
-        )
-    return impute(
-        spark, r, incomplete, models, F, A_x, k, weighting=weighting, engine=engine
+    if engine == "sql":
+        if l is None:
+            models = adaptive_learn(spark, r, F, A_x, k=k, h=h, l_max=l_max, alpha=alpha)
+        else:
+            models = learn_models(spark, r, F, A_x, l, alpha=alpha, engine=engine)
+        return impute(spark, r, incomplete, models, F, A_x, k, weighting=weighting, engine=engine)
+    q_ids, Q = _queries(incomplete, F)
+    rel, models, nn = adaptive_models(
+        spark, r, F, A_x, Q, k=k, h=h, l_max=l_max, alpha=alpha, l=l
     )
+    mp = models.toPandas()
+    Phi = np.full((rel.n, len(F) + 1), np.nan)  # rows no query reads stay NaN
+    Phi[np.searchsorted(rel.ids, mp[ID].to_numpy(np.int64))] = np.array(
+        mp["phi"].tolist(), dtype=np.float64
+    ).reshape(len(mp), len(F) + 1)
+    return _vote(spark, q_ids, Q, Phi, nn, weighting)

@@ -10,8 +10,9 @@ the paper's examples):
   "nearest-neighbor lookup via joins" path; quadratic, used at test
   scale and oracle-checked.
 * :func:`knn_numpy` on a collected :class:`Relation` — vectorized numpy kNN
-  against a broadcast copy of r, used inside mapInPandas partitions by
-  the scalable engines.
+  against a collected copy of r, used by the scalable engines: on the
+  driver in blocks by IIM (:mod:`repro.core.adaptive`), inside
+  mapInPandas partitions by the kNN-based baselines.
 
 Ties are broken deterministically by (distance, neighbor row_id) in
 both engines so they agree bit-for-bit.
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F_
 
@@ -155,24 +155,3 @@ def collect_relation(df: DataFrame, F: Sequence[str], A_x: str, id_col: str = ID
         y=pdf[A_x].to_numpy(np.float64),
     )
 
-
-def knn_pairs_numpy(rel: Relation, k: int, *, exclude_self: bool) -> pd.DataFrame:
-    """All-pairs kNN of r against itself (driver-side helper for tests
-    and the adaptive reference implementation)."""
-    idx, dist = knn_numpy(
-        rel.X,
-        rel.X,
-        k,
-        r_ids=rel.ids,
-        exclude_ids=rel.ids if exclude_self else None,
-        q_ids=rel.ids,
-    )
-    qn = np.repeat(rel.ids, idx.shape[1])
-    return pd.DataFrame(
-        {
-            "q_id": qn,
-            "n_id": rel.ids[idx.ravel()],
-            "rank": np.tile(np.arange(1, idx.shape[1] + 1), len(rel.ids)),
-            "dist": dist.ravel(),
-        }
-    )

@@ -1,7 +1,7 @@
-"""Demand-driven adaptive IIM: ``iim_impute`` learns only the models its
+"""Demand-driven IIM: ``iim_impute`` learns only the models its
 incomplete tuples read, with r collected once, and must impute
-exactly what learning every model with ``adaptive_learn`` and then
-``impute`` does."""
+exactly what learning every model with ``adaptive_learn`` (or, for a
+fixed l, ``learn_models``) and then ``impute`` does."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -58,21 +58,27 @@ def _relations(draw):
     y = draw(st.lists(st.integers(-9, 9).map(float), min_size=len(X), max_size=len(X)))
     Q = draw(st.lists(st.lists(cells, min_size=p, max_size=p), min_size=1, max_size=4))
     k = draw(st.integers(1, len(X) + 2))
-    return np.array(X), np.array(y), np.array(Q), k
+    l = draw(st.none() | st.integers(1, len(X) + 2))
+    return np.array(X), np.array(y), np.array(Q), k, l
 
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=_relations())
 def test_demand_driven_equals_full_learning_property(spark, data):
-    X, y, Q, k = data
+    """Adaptive l, or a fixed l (Algorithm 1) against ``learn_models``."""
+    X, y, Q, k, l = data
     F = [f"A{j}" for j in range(1, X.shape[1] + 1)]
     rpdf = pd.DataFrame(X, columns=F).assign(A_y=y)
     rpdf.insert(0, ID, np.arange(len(X), dtype=np.int64))
     qpdf = pd.DataFrame(Q, columns=F)
     qpdf.insert(0, ID, np.arange(100, 100 + len(Q), dtype=np.int64))
     r, q = spark.createDataFrame(rpdf), spark.createDataFrame(qpdf)
-    got = _sorted(iim.iim_impute(spark, r, q, F, "A_y", k=k, h=1))
-    _assert_same(got, _learn_then_impute(spark, r, q, F, "A_y", k, h=1))
+    got = _sorted(iim.iim_impute(spark, r, q, F, "A_y", k=k, l=l, h=1))
+    if l is None:
+        want = _learn_then_impute(spark, r, q, F, "A_y", k, h=1)
+    else:
+        want = _sorted(iim.impute(spark, r, q, iim.learn_models(spark, r, F, "A_y", l), F, "A_y", k))
+    _assert_same(got, want)
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +126,10 @@ class _ListParam(AccumulatorParam):
         return a + b
 
 
-def test_one_collect_and_sweep_of_the_neighbor_union(spark, tied, monkeypatch):
+@pytest.mark.parametrize("l", [None, 3])
+def test_one_collect_and_sweep_of_the_neighbor_union(spark, tied, monkeypatch, l):
+    """Adaptive or fixed l: one collect of r, one sweep of each neighbor of
+    the incomplete tuples; a fixed l validates nothing, so no self-kNN."""
     r, q, F = tied
     collects = []
     real_collect = adaptive.collect_relation
@@ -140,7 +149,12 @@ def test_one_collect_and_sweep_of_the_neighbor_union(spark, tied, monkeypatch):
         return real_pick(rel, pos, *a, **kw)
 
     monkeypatch.setattr(adaptive, "_pick", recording_pick)
-    iim.iim_impute(spark, r, q, F, "A_y", k=4).toPandas()
+    if l is not None:
+        def no_self_knn(*a, **kw):
+            raise AssertionError("fixed l computed a self-kNN")
+
+        monkeypatch.setattr(adaptive, "_self_knn", no_self_knn)
+    iim.iim_impute(spark, r, q, F, "A_y", k=4, l=l).toPandas()
 
     assert len(collects) == 1
     rel = real_collect(r, F, "A_y")

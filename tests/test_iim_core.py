@@ -91,11 +91,21 @@ class TestLearning:
             np.testing.assert_allclose(phi, [5.56, -0.87], atol=0.005)
 
     def test_l1_constant_models(self, spark, fig1_r, engine):
-        models = iim.learn_models(spark, fig1_r, ["A1"], "A2", 1, engine=engine)
-        got = models.toPandas().sort_values("row_id")
-        y = {1: 5.8, 2: 4.6, 3: 3.8, 4: 3.2}
-        for _, row in got.iterrows():
-            np.testing.assert_allclose(row["phi"], [y[row["row_id"]], 0.0])
+        """l=1: every tuple's model is its own value (Section III-A2), also
+        for tuples 2 and 5, whose duplicates 1 and 4 have lower ids."""
+        dups = _df(
+            spark, [(1, 0.0, 5.0), (2, 0.0, 7.0), (3, 1.0, 1.0), (4, 2.0, 3.0), (5, 2.0, 9.0)],
+            ["row_id", "A1", "A2"],
+        )
+        for r, y in [
+            (fig1_r, {1: 5.8, 2: 4.6, 3: 3.8, 4: 3.2}),
+            (dups, {1: 5.0, 2: 7.0, 3: 1.0, 4: 3.0, 5: 9.0}),
+        ]:
+            models = iim.learn_models(spark, r, ["A1"], "A2", 1, engine=engine)
+            got = models.toPandas().sort_values("row_id")
+            assert got["row_id"].tolist() == sorted(y)
+            for _, row in got.iterrows():
+                np.testing.assert_allclose(row["phi"], [y[row["row_id"]], 0.0])
 
     def test_example6_l3_for_t1(self, spark, fig1_r, engine):
         """t1's 3 nearest neighbors are t1,t2,t3 -> phi = (5.66, -1.03)."""

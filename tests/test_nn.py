@@ -4,7 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import nn
+from repro.core import adaptive, nn
 from repro.oracle import assert_equivalent
 
 
@@ -148,17 +148,16 @@ def test_collect_relation_sorted(spark, small_rel):
     np.testing.assert_allclose(rel.y, row.loc[rel.ids, "A3"].to_numpy())
 
 
-def test_knn_pairs_numpy_matches_join(spark, small_rel):
+def test_self_knn_matches_join(spark, small_rel):
+    """The driver's exclude-self kNN (Algorithm 3's validation
+    assignments) equals the SQL join with exclude_self."""
     rel_pdf, rel_df = small_rel
     F = ["A1", "A2"]
     rel = nn.collect_relation(rel_df, F, "A3")
-    # exclude_self variant equals the SQL join with exclude_self
-    pairs = nn.knn_pairs_numpy(rel, 4, exclude_self=True)
+    got = rel.ids[adaptive._self_knn(rel, 4)].ravel()
     sql_pairs = (
         nn.knn_join(rel_df, rel_df, F, 4, exclude_self=True)
         .toPandas()
         .sort_values(["q_id", "rank"])
-        .reset_index(drop=True)
     )
-    pairs = pairs.sort_values(["q_id", "rank"]).reset_index(drop=True)
-    assert pairs["n_id"].tolist() == sql_pairs["n_id"].tolist()
+    assert got.tolist() == sql_pairs["n_id"].tolist()

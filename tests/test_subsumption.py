@@ -40,6 +40,29 @@ def test_proposition1_subsumes_knn(spark, seed, n, p, k):
     )
 
 
+@pytest.mark.parametrize("engine", ["sql", "broadcast"])
+def test_proposition1_with_duplicate_tuples(spark, engine):
+    """Duplicate tuples with differing A_x: each is its own 1-NN, so its
+    l=1 model is its own value and Prop. 1 still holds exactly."""
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 3, size=(12, 2)).astype(np.float64)
+    X = np.vstack([X, X[[0, 3, 3, 7]]])
+    pdf = pd.DataFrame(X, columns=["A1", "A2"]).assign(A3=rng.normal(size=len(X)))
+    pdf.insert(0, "row_id", np.arange(len(X), dtype=np.int64)[::-1])
+    q = pd.DataFrame(rng.integers(0, 3, size=(6, 2)).astype(np.float64), columns=["A1", "A2"])
+    q.insert(0, "row_id", np.arange(100, 106, dtype=np.int64))
+    r, q = spark.createDataFrame(pdf), spark.createDataFrame(q)
+    F = ["A1", "A2"]
+    got = (
+        iim.iim_impute(spark, r, q, F, "A3", k=4, l=1, weighting="uniform", engine=engine)
+        .toPandas().sort_values("row_id")
+    )
+    ref = knn_impute(spark, r, q, F, "A3", k=4).toPandas().sort_values("row_id")
+    np.testing.assert_allclose(
+        got["imputed"].to_numpy(), ref["imputed"].to_numpy(), atol=1e-9
+    )
+
+
 @pytest.mark.parametrize("seed,n,p,k", [(3, 25, 2, 3), (4, 30, 3, 7), (5, 12, 1, 2)])
 def test_proposition2_subsumes_glr(spark, seed, n, p, k):
     """l=n: every individual model equals the global regression, all
