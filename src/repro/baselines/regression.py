@@ -14,7 +14,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession, functions as F_
 
 from ..core import linalg
-from ..core.nn import ID, collect_relation, knn_numpy
+from ..core.nn import ID, collect_relation, knn_numpy, self_knn
 from .common import map_impute
 
 
@@ -216,9 +216,9 @@ def eracer_impute(
     combination of Figure 2. Simplification of the full ERACER graphical
     model documented in DESIGN.md."""
     rel = collect_relation(r, F, A_x)
-    kk = min(k, max(1, rel.n - 1))
     # training features: neighbors exclude self so y never leaks directly
-    idx, _ = knn_numpy(rel.X, rel.X, kk, r_ids=rel.ids, exclude_ids=rel.ids)
+    idx = self_knn(rel, k)
+    kk = idx.shape[1]
     nb_F = rel.X[idx].mean(axis=1)
     nb_y = rel.y[idx].mean(axis=1)
     feats = np.hstack([rel.X, nb_F, nb_y[:, None]])

@@ -10,21 +10,24 @@ validation cost. Fixed-l learning (Algorithm 1) is the same pipeline
 with the one-point grid {l} and nothing to validate.
 
 This is the only learner of the broadcast engine. The relation r is
-collected and broadcast once. The driver computes, KNN_BLOCK rows at a
-time, every tuple's k nearest neighbors within r (the validation
-assignments, adaptive l only) and, for one-shot imputation, the
-incomplete tuples' k nearest complete tuples (Algorithm 2), both with
-the (distance, id) rule of knn_numpy. It inverts the validation
-assignments into reverse-kNN lists over all n tuples (n*k ids — tiny);
-one Spark pass fans the per-tuple candidate sweep out over executors,
-with the incremental prefix computation of Proposition 3 inside each
-task. Each tuple ranks itself first, so its l=1 model is its own value
-(Section III-A2) even when it has a duplicate with a lower id.
-:func:`adaptive_learn` sweeps every tuple (learn once, impute many);
-one-shot imputation sweeps only the incomplete tuples' neighbors, the
-only models Algorithm 2 reads. A swept tuple's validation set comes
-from the full self-kNN either way, so its l* and phi do not depend on
-which other tuples are swept.
+collected and broadcast once. The driver computes every tuple's k
+nearest neighbors within r (the validation assignments, adaptive l
+only) and, for one-shot imputation, the incomplete tuples' k nearest
+complete tuples (Algorithm 2), both with :func:`repro.core.nn.knn_blocked`.
+It inverts the validation assignments into reverse-kNN sets over all n
+tuples (n*k ids — tiny); one Spark pass fans the candidate sweep out over
+executors. There the block kernel :func:`_sweep_block` handles
+SWEEP_BLOCK tuples per call: one distance GEMM, one stable sort, the
+incremental prefix computation of Proposition 3 as segment Gram
+matrices, a cumulative sum and one batched solve, then the scoring of
+every validation tuple of the block. Each tuple ranks itself first, so
+its l=1 model is its own value (Section III-A2) even when it has a
+duplicate with a lower id. :func:`adaptive_learn` sweeps every tuple
+(learn once, impute many); one-shot imputation sweeps only the
+incomplete tuples' neighbors, the only models Algorithm 2 reads. A
+swept tuple's validation set comes from the full self-kNN either way,
+and its output does not depend on which other tuples share its block,
+so its l* and phi do not depend on which other tuples are swept.
 
 ``adaptive_reference`` is a literal, driver-side O(n^2 * |grid|)
 transcription of Algorithm 3 used by the tests to pin down the
@@ -41,7 +44,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
 from . import linalg
-from .nn import ID, Relation, collect_relation, knn_numpy, pairwise_dist
+from .nn import ID, Relation, collect_relation, knn_blocked, pairwise_dist, self_knn
 
 ADAPTIVE_SCHEMA = StructType(
     [
@@ -59,9 +62,8 @@ DEFAULT_L_MAX: int | None = None
 #: Grid is thinned so it never exceeds this many candidate l values
 #: unless the caller pins h explicitly (paper uses h=50 at n>=10k).
 MAX_GRID_POINTS = 64
-#: Rows per distance block of the driver-side kNN, so the driver holds
-#: at most KNN_BLOCK x n distances whatever the number of rows.
-KNN_BLOCK = 256
+#: Tuples per call of the candidate-sweep kernel (:func:`_sweep_block`).
+SWEEP_BLOCK = 16
 
 
 def auto_step(n: int, l_max: int | None) -> int:
@@ -69,82 +71,73 @@ def auto_step(n: int, l_max: int | None) -> int:
     return max(1, math.ceil(cap / MAX_GRID_POINTS))
 
 
-def _validation_k(n: int, k: int) -> int:
-    """Neighbors per validation assignment: k, less the tuple itself."""
-    return min(k, n - 1) if n > 1 else 1
-
-
 def _sorted_neighbor_order(rel: Relation, pos: int) -> np.ndarray:
     """Positions of all tuples ordered by (distance to tuple #pos, id),
-    with the tuple itself forced first (it is its own 1-NN)."""
+    with the tuple itself forced first (it is its own 1-NN). Per-tuple
+    ordering of :func:`adaptive_reference`."""
     d = pairwise_dist(rel.X[pos], rel.X)[0]
     d[pos] = -np.inf
     return np.lexsort((rel.ids, d))
 
 
-def _candidate_models(
-    rel: Relation, pos: int, grid: np.ndarray, alpha: float, *, incremental: bool = True
-) -> np.ndarray:
-    order = _sorted_neighbor_order(rel, pos)
-    fn = linalg.prefix_params if incremental else linalg.prefix_params_scratch
-    return fn(rel.X[order], rel.y[order], grid, alpha)
-
-
-def _pick(
-    rel: Relation,
-    pos: int,
-    grid: np.ndarray,
-    alpha: float,
-    val_pos: np.ndarray,
-    *,
-    incremental: bool = True,
-) -> tuple[np.ndarray, int]:
-    """Candidate sweep + validation scoring for one tuple. Returns
-    (phi, l_star)."""
-    phis = _candidate_models(rel, pos, grid, alpha, incremental=incremental)
-    Xv = linalg.design(rel.X[val_pos])  # (V, m)
-    err = Xv @ phis.T - rel.y[val_pos][:, None]  # (V, |grid|)
-    cost = (err**2).sum(axis=0)
-    g = int(np.argmin(cost))  # ties -> smallest l (np.argmin is first-hit)
-    return phis[g], int(grid[g])
-
-
-def _reverse_validation(rel: Relation, nn_idx: np.ndarray) -> list[np.ndarray]:
-    """Invert per-tuple kNN assignments into reverse-kNN validation lists.
+def _reverse_validation(nn_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert per-tuple kNN assignments into reverse-kNN validation sets.
 
     ``nn_idx[j]`` holds positions of NN(t_j, F, k) excluding t_j itself.
     Tuple i's validation set is {j : i in NN(j, k)}; tuples nobody picked
     fall back to their own kNN (so every tuple is validated on *some*
-    nearby data rather than defaulting to l=1).
+    nearby data rather than defaulting to l=1). Returns the sets in CSR
+    form: tuple i's set is ``idx[ptr[i]:ptr[i + 1]]``, ascending.
     """
-    rev: list[list[int]] = [[] for _ in range(rel.n)]
-    for j in range(rel.n):
-        for i in nn_idx[j]:
-            rev[int(i)].append(j)
-    out = []
-    for i in range(rel.n):
-        v = rev[i] if rev[i] else list(nn_idx[i])
-        out.append(np.asarray(sorted(v), dtype=np.int64))
-    return out
+    n, k = nn_idx.shape
+    owner, val = nn_idx.ravel(), np.repeat(np.arange(n), k)
+    lone = np.flatnonzero(np.bincount(owner, minlength=n) == 0)
+    owner = np.concatenate([owner, np.repeat(lone, k)])
+    val = np.concatenate([val, nn_idx[lone].ravel()])
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=n))])
+    return ptr, val[np.lexsort((val, owner))]
 
 
-def _knn(rel: Relation, X: np.ndarray, k: int, own_ids: np.ndarray | None = None) -> np.ndarray:
-    """Positions of the k nearest tuples of r to each row of ``X``, nearest
-    first, computed on the driver in KNN_BLOCK-row blocks. ``own_ids``
-    (aligned with X) excludes each row's own tuple."""
-    out = np.empty((len(X), min(k, rel.n)), dtype=np.int64)
-    for s in range(0, len(X), KNN_BLOCK):
-        ex = None if own_ids is None else own_ids[s:s + KNN_BLOCK]
-        out[s:s + KNN_BLOCK], _ = knn_numpy(
-            X[s:s + KNN_BLOCK], rel.X, k, r_ids=rel.ids, exclude_ids=ex, q_ids=ex
-        )
-    return out
+def _sweep_block(
+    rel: Relation,
+    pos: np.ndarray,
+    grid: np.ndarray,
+    val: tuple[np.ndarray, np.ndarray],
+    alpha: float,
+    incremental: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate sweep and validation scoring (Algorithm 3, lines 3-9) of
+    the at most SWEEP_BLOCK tuples at ``pos``. Returns (phi, l_star).
 
-
-def _self_knn(rel: Relation, k: int) -> np.ndarray:
-    """kNN of every tuple within r, excluding itself: the validation
-    assignments of Algorithm 3."""
-    return _knn(rel, rel.X, _validation_k(rel.n, k), rel.ids)
+    One GEMM gives the block's distances (padded to SWEEP_BLOCK rows: a
+    GEMM's rounding depends on its row count, and a tuple's models must
+    not depend on its block); each tuple is set to rank itself first,
+    and a stable sort orders the rest by (distance, id), as r's ids are
+    ascending. The candidate models of every tuple come from one
+    :func:`linalg.candidate_params` call, and every validation tuple of
+    the block is scored at once.
+    """
+    B = len(pos)
+    Q = np.zeros((SWEEP_BLOCK, rel.X.shape[1]))
+    Q[:B] = rel.X[pos]
+    d = pairwise_dist(Q, rel.X)[:B]
+    d[np.arange(B), pos] = -np.inf
+    order = np.argsort(d, axis=1, kind="stable")
+    if incremental:
+        phis = linalg.candidate_params(linalg.augment(rel.X, rel.y), order, grid, alpha)
+    else:  # the straightforward baseline of Table III
+        phis = np.stack([
+            linalg.prefix_params_scratch(rel.X[o], rel.y[o], grid, alpha) for o in order
+        ])
+    ptr, idx = val
+    counts = ptr[pos + 1] - ptr[pos]
+    owner = np.repeat(np.arange(B), counts)  # the block's validation tuples, in pos order
+    v = idx[np.arange(counts.sum()) + np.repeat(ptr[pos] - np.cumsum(counts) + counts, counts)]
+    pred = (linalg.design(rel.X[v])[:, None, :] * phis[owner]).sum(axis=-1)  # (V, |grid|)
+    cost = np.zeros((B, len(grid)))
+    np.add.at(cost, owner, (pred - rel.y[v][:, None]) ** 2)
+    g = cost.argmin(axis=1)  # ties -> smallest l (np.argmin is first-hit)
+    return phis[np.arange(B), g], grid[g]
 
 
 def _sweep(
@@ -152,23 +145,25 @@ def _sweep(
     b,
     positions: np.ndarray,
     grid: np.ndarray,
-    val_sets: list[np.ndarray],
+    val: tuple[np.ndarray, np.ndarray],
     alpha: float,
     incremental: bool,
 ) -> DataFrame:
-    """Candidate sweep and validation scoring (Algorithm 3, lines 3-9) of
-    the tuples at ``positions``, fanned out over executors. Returns
-    ``(row_id, phi, l_star)``."""
-    vs = {int(p): val_sets[p] for p in positions}  # shipped with the task closure
+    """The block kernel :func:`_sweep_block` over the tuples at
+    ``positions``, fanned out over executors, SWEEP_BLOCK tuples per
+    call. Returns ``(row_id, phi, l_star)``."""
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         rv: Relation = b.value
         for pdf in batches:
-            rows = []
-            for pos in pdf["pos"].to_numpy(np.int64):
-                phi, l_star = _pick(rv, pos, grid, alpha, vs[int(pos)], incremental=incremental)
-                rows.append((int(rv.ids[pos]), phi.tolist(), l_star))
-            yield pd.DataFrame(rows, columns=[ID, "phi", "l_star"])
+            pos = pdf["pos"].to_numpy(np.int64)
+            parts = [
+                _sweep_block(rv, pos[s:s + SWEEP_BLOCK], grid, val, alpha, incremental)
+                for s in range(0, len(pos), SWEEP_BLOCK)
+            ]
+            if parts:
+                phi, l_star = (np.concatenate(a) for a in zip(*parts))
+                yield pd.DataFrame({ID: rv.ids[pos], "phi": phi.tolist(), "l_star": l_star})
 
     src = spark.createDataFrame(pd.DataFrame({"pos": np.asarray(positions, np.int64)}), "pos long")
     return src.mapInPandas(run, ADAPTIVE_SCHEMA)
@@ -200,13 +195,13 @@ def adaptive_models(
     b = spark.sparkContext.broadcast(rel)
     if l is None:
         grid = linalg.make_grid(rel.n, h or auto_step(rel.n, l_max), l_max)
-        val_sets = _reverse_validation(rel, _self_knn(rel, k))
+        val = _reverse_validation(self_knn(rel, k))
     else:  # one candidate: nothing to validate, so no self-kNN
         grid = np.array([min(l, rel.n)], dtype=np.int64)
-        val_sets = [np.empty(0, dtype=np.int64)] * rel.n
-    query_nn = None if queries is None else _knn(rel, queries, k)
+        val = np.zeros(rel.n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    query_nn = None if queries is None else knn_blocked(rel, queries, k)
     positions = np.arange(rel.n) if query_nn is None else np.unique(query_nn)
-    return rel, _sweep(spark, b, positions, grid, val_sets, alpha, incremental), query_nn
+    return rel, _sweep(spark, b, positions, grid, val, alpha, incremental), query_nn
 
 
 def adaptive_learn(
@@ -256,9 +251,10 @@ def adaptive_reference(
     # Phi[g][i] = model of tuple i learned over grid[g] neighbors.
     phis = np.empty((len(grid), n, rel.X.shape[1] + 1))
     for i in range(n):
-        phis[:, i, :] = _candidate_models(rel, i, grid, alpha, incremental=False)
+        order = _sorted_neighbor_order(rel, i)
+        phis[:, i, :] = linalg.prefix_params_scratch(rel.X[order], rel.y[order], grid, alpha)
 
-    nn_idx = _self_knn(rel, k)
+    nn_idx = self_knn(rel, k)
     cost = np.zeros((n, len(grid)))
     hit = np.zeros(n, dtype=bool)
     for j in range(n):  # each tuple as validation tuple

@@ -34,8 +34,8 @@ from pyspark.sql import functions as F_
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
 from . import linalg
-from .adaptive import _knn, adaptive_learn, adaptive_models
-from .nn import ID, collect_relation, knn_join
+from .adaptive import adaptive_learn, adaptive_models
+from .nn import ID, collect_relation, knn_blocked, knn_join
 
 MODEL_SCHEMA = StructType(
     [
@@ -173,7 +173,7 @@ def _impute_broadcast(spark, r, incomplete, models, F, A_x, k, weighting):
         raise ValueError("models must cover exactly the complete relation r")
     Phi = np.array(mp["phi"].tolist(), dtype=np.float64)  # aligned with rel rows
     q_ids, Q = _queries(incomplete, F)
-    return _vote(spark, q_ids, Q, Phi, _knn(rel, Q, k), weighting)
+    return _vote(spark, q_ids, Q, Phi, knn_blocked(rel, Q, k), weighting)
 
 
 def _queries(incomplete: DataFrame, F: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,9 @@ Implements the paper's Formulas 5-7 (ridge over a neighbor set), the
 single-neighbor rule of Section III-A2, and the incremental U/V
 computation of Proposition 3 (Formulas 15-21), which turns the cost of
 learning the model at neighbor count ``l+h`` from O(m^2 (l+h)) into
-O(m^2 h) given the model state at ``l``.
+O(m^2 h) given the model state at ``l``. :func:`candidate_params` runs
+that computation for a block of tuples at once (the adaptive sweep's
+kernel); :func:`prefix_params` is its one-tuple form.
 
 All functions are pure numpy so they can run inside Spark python
 workers (mapInPandas) as well as on the driver.
@@ -98,6 +100,43 @@ def make_grid(n: int, h: int = 1, l_max: int | None = None) -> np.ndarray:
     return grid.astype(np.int64)
 
 
+def augment(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows ``[1, x, y]``: the design row of Formula 7 with its target, so
+    one Gram matrix Z^T Z holds both U = X^T X and V = X^T Y."""
+    return np.concatenate([np.ones(y.shape + (1,)), X, y[..., None]], axis=-1)
+
+
+def candidate_params(
+    Z: np.ndarray, order: np.ndarray, grid: np.ndarray, alpha: float = DEFAULT_ALPHA
+) -> np.ndarray:
+    """Candidate models phi^(l), l in ``grid``, of a block of tuples at once.
+
+    ``Z`` holds :func:`augment` rows; ``order[b]`` lists the rows of Z
+    that are tuple b's neighbors, nearest (itself) first. The neighbors
+    between consecutive grid points form a segment; one batched matmul
+    gives every segment's Gram matrix, a cumulative sum over segments
+    gives U and V at every grid point (Proposition 3: each candidate
+    costs O(m^2 h), constant in l), and one batched solve gives phi.
+    Segments are zero-padded to equal length, which adds exact zeros.
+    Every step is per tuple, so a tuple's models do not depend on the
+    rest of its block. Returns a (B, |grid|, m) array; grid point l=1
+    uses the single-neighbor rule.
+    """
+    grid = np.asarray(grid, dtype=np.int64)
+    m = Z.shape[1] - 1
+    bounds = np.concatenate([[0], grid])
+    seg = bounds[:-1, None] + np.arange(np.diff(bounds).max())  # (S, L)
+    seg[seg >= bounds[1:, None]] = grid[-1]  # padding -> the zero row below
+    padded = np.concatenate([order[:, : grid[-1]], np.full((len(order), 1), len(Z))], axis=1)
+    Zs = np.concatenate([Z, np.zeros((1, m + 1))])[padded[:, seg]]  # (B, S, L, m+1)
+    G = np.cumsum(Zs.swapaxes(-1, -2) @ Zs, axis=1)
+    phis = np.linalg.solve(G[..., :m, :m] + alpha * np.eye(m), G[..., :m, m:])[..., 0]
+    if grid[0] == 1:
+        phis[:, 0] = 0.0
+        phis[:, 0, 0] = Z[order[:, 0], m]
+    return phis
+
+
 def prefix_params(
     X_sorted: np.ndarray,
     y_sorted: np.ndarray,
@@ -107,36 +146,25 @@ def prefix_params(
     """Candidate models phi^(l) for every l in ``grid`` — incremental.
 
     ``X_sorted``/``y_sorted`` are a tuple's neighbors ordered by
-    ascending distance (self first). Between consecutive grid points the
-    U/V state is updated with only the delta rows (Proposition 3), so
-    the whole sweep costs O(m^2 n + |grid| m^3) instead of
-    O(sum_l m^2 l). Returns a (|grid|, m) parameter matrix; grid point
-    l=1 uses the single-neighbor rule.
+    ascending distance (self first), optionally with a leading block
+    axis of tuples: (B, n, p) and (B, n). U/V at a grid point are those
+    of the previous point plus the delta rows (Proposition 3), computed
+    by :func:`candidate_params`, so the whole sweep costs
+    O(m^2 n + |grid| m^3) instead of O(sum_l m^2 l). Returns a
+    (|grid|, m) parameter matrix, or (B, |grid|, m) for a block.
     """
-    X_sorted = np.asarray(X_sorted, dtype=np.float64)
-    if X_sorted.ndim == 1:
-        X_sorted = X_sorted[:, None]
-    y_sorted = np.asarray(y_sorted, dtype=np.float64)
-    n, p = X_sorted.shape
-    m = p + 1
+    X = np.asarray(X_sorted, dtype=np.float64)
+    y = np.asarray(y_sorted, dtype=np.float64)
+    if X.ndim == y.ndim:  # one feature
+        X = X[..., None]
     grid = np.asarray(grid, dtype=np.int64)
+    n = y.shape[-1]
     if grid[-1] > n:
         raise ValueError(f"grid max {grid[-1]} exceeds n={n}")
-
-    acc = IncrementalRidge(m)
-    Us = np.empty((len(grid), m, m))
-    Vs = np.empty((len(grid), m))
-    prev = 0
-    for g, l in enumerate(grid):
-        acc.add(X_sorted[prev:l], y_sorted[prev:l])
-        prev = int(l)
-        Us[g] = acc.U
-        Vs[g] = acc.V
-    eye = alpha * np.eye(m)
-    phis = np.linalg.solve(Us + eye, Vs[..., None])[..., 0]
-    if grid[0] == 1:
-        phis[0] = single_neighbor_phi(y_sorted[0], m)
-    return phis
+    cap = int(grid[-1])
+    Z = augment(X[..., :cap, :], y[..., :cap]).reshape(-1, X.shape[-1] + 2)
+    phis = candidate_params(Z, np.arange(len(Z)).reshape(-1, cap), grid, alpha)
+    return phis if y.ndim == 2 else phis[0]
 
 
 def prefix_params_scratch(

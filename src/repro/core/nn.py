@@ -10,8 +10,9 @@ the paper's examples):
   "nearest-neighbor lookup via joins" path; quadratic, used at test
   scale and oracle-checked.
 * :func:`knn_numpy` on a collected :class:`Relation` — vectorized numpy kNN
-  against a collected copy of r, used by the scalable engines: on the
-  driver in blocks by IIM (:mod:`repro.core.adaptive`), inside
+  against a collected copy of r (one argpartition and one row-wise
+  lexsort per call), used by the scalable engines: on the driver in
+  KNN_BLOCK-row blocks by :func:`knn_blocked` (IIM and ERACER), inside
   mapInPandas partitions by the kNN-based baselines.
 
 Ties are broken deterministically by (distance, neighbor row_id) in
@@ -28,6 +29,8 @@ from pyspark.sql import functions as F_
 
 
 ID = "row_id"
+#: Rows per distance block of :func:`knn_blocked`.
+KNN_BLOCK = 256
 
 
 def distance_expr(F: Sequence[str], left: str = "q_", right: str = "n_"):
@@ -101,33 +104,39 @@ def knn_numpy(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indices (into R) and distances of the k nearest rows of R per query.
 
-    Tie-break: (distance, r_id) ascending, matching :func:`knn_join`.
-    ``exclude_ids`` (aligned with Q via ``q_ids``) removes the query's own
-    row from candidacy (validation mode).
+    Tie-break: (distance, r_id) ascending, matching :func:`knn_join`;
+    ``r_ids`` must be unique. ``exclude_ids`` (aligned with Q via
+    ``q_ids``) removes the query's own row from candidacy (validation
+    mode).
     """
     R = np.atleast_2d(np.asarray(R, dtype=np.float64))
     n = R.shape[0]
     if r_ids is None:
         r_ids = np.arange(n)
     d = pairwise_dist(Q, R)
+    rows = np.arange(d.shape[0])[:, None]
     if exclude_ids is not None:
-        for qi, ex in enumerate(np.asarray(exclude_ids)):
-            d[qi, r_ids == ex] = np.inf
+        ex = np.asarray(exclude_ids)
+        srt = np.argsort(r_ids, kind="stable")
+        at = srt[np.minimum(np.searchsorted(r_ids, ex, sorter=srt), n - 1)]
+        hit = r_ids[at] == ex
+        d[rows[hit, 0], at[hit]] = np.inf
     k = min(k, n)
     if k * 4 < n:
-        # Exact fast path: argpartition to the k-th distance, widen to all
-        # exact ties at the boundary, then (dist, id)-lexsort the
-        # candidates only — O(n) per row instead of O(n log n).
-        order = np.empty((d.shape[0], k), dtype=np.int64)
-        for qi in range(d.shape[0]):
+        # Exact fast path: argpartition to the k-th distance, then
+        # (dist, id)-lexsort the k candidates only — O(n) per row instead
+        # of O(n log n). Rows whose k-th distance ties beyond slot k widen
+        # to all the ties, since argpartition cuts a tie arbitrarily.
+        part = np.argpartition(d, k - 1, axis=1)
+        kth = d[rows, part[:, k - 1 : k]]
+        cand = part[:, :k]
+        order = cand[rows, np.lexsort((r_ids[cand], d[rows, cand]), axis=1)]
+        for qi in np.flatnonzero((d <= kth).sum(axis=1) > k):
             row = d[qi]
-            kv = np.partition(row, k - 1)[k - 1]
-            cand = np.flatnonzero(row <= kv)
-            top = cand[np.lexsort((r_ids[cand], row[cand]))[:k]]
-            order[qi] = top
+            wide = np.flatnonzero(row <= kth[qi, 0])
+            order[qi] = wide[np.lexsort((r_ids[wide], row[wide]))[:k]]
     else:
         order = np.lexsort((np.broadcast_to(r_ids, d.shape), d), axis=1)[:, :k]
-    rows = np.arange(d.shape[0])[:, None]
     return order, d[rows, order]
 
 
@@ -146,12 +155,41 @@ class Relation:
 
 def collect_relation(df: DataFrame, F: Sequence[str], A_x: str, id_col: str = ID) -> Relation:
     """Collect (id, F, A_x) columns of a Spark relation into numpy arrays,
-    sorted by id for determinism."""
+    sorted by id for determinism.
+
+    Raises ValueError on NaN/inf values or duplicate ids: the adaptive
+    sweep ranks distance ties by position, which is the (distance, id)
+    rule only because the ids come out unique and ascending.
+    """
     cols = [id_col, *F] + ([A_x] if A_x not in F else [])
     pdf = df.select(*cols).toPandas().sort_values(id_col)
-    return Relation(
+    rel = Relation(
         ids=pdf[id_col].to_numpy(np.int64),
         X=pdf[list(F)].to_numpy(np.float64),
         y=pdf[A_x].to_numpy(np.float64),
     )
+    if not (np.isfinite(rel.X).all() and np.isfinite(rel.y).all()):
+        raise ValueError(f"NaN or infinite values in {[*F, A_x]}: r must be complete and finite")
+    if (np.diff(rel.ids) == 0).any():
+        raise ValueError(f"duplicate {id_col} values in r")
+    return rel
 
+
+def knn_blocked(rel: Relation, X: np.ndarray, k: int, own_ids: np.ndarray | None = None) -> np.ndarray:
+    """Positions of the k nearest tuples of r to each row of ``X``, nearest
+    first, with :func:`knn_numpy` in KNN_BLOCK-row blocks, so at most
+    KNN_BLOCK x n distances are held whatever the number of rows.
+    ``own_ids`` (aligned with X) excludes each row's own tuple."""
+    out = np.empty((len(X), min(k, rel.n)), dtype=np.int64)
+    for s in range(0, len(X), KNN_BLOCK):
+        ex = None if own_ids is None else own_ids[s:s + KNN_BLOCK]
+        out[s:s + KNN_BLOCK], _ = knn_numpy(
+            X[s:s + KNN_BLOCK], rel.X, k, r_ids=rel.ids, exclude_ids=ex, q_ids=ex
+        )
+    return out
+
+
+def self_knn(rel: Relation, k: int) -> np.ndarray:
+    """kNN of every tuple within r, excluding itself: IIM's validation
+    assignments (Algorithm 3) and ERACER's neighbor aggregates."""
+    return knn_blocked(rel, rel.X, min(k, rel.n - 1) if rel.n > 1 else 1, rel.ids)

@@ -4,10 +4,12 @@ the does-adaptive-actually-help property."""
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import iim
+from repro.core import adaptive, iim, linalg
 from repro.core.adaptive import adaptive_learn, adaptive_reference
-from repro.core.nn import Relation, collect_relation
+from repro.core.nn import Relation, collect_relation, self_knn
 
 
 def _rel_df(spark, n=30, p=2, seed=0, heterogeneous=False):
@@ -141,3 +143,80 @@ def test_single_attribute_relation(spark):
     got = adaptive_learn(spark, df, F, "A_y", k=3, h=1, l_max=None).toPandas()
     assert len(got) == 15
     assert all(len(p) == 2 for p in got["phi"])
+
+
+@st.composite
+def _lattice_sweeps(draw):
+    """Integer-lattice relations with duplicate tuples, so neighbor
+    distances tie exactly, also at segment boundaries; a stepped, maybe
+    capped grid; and a random cut of the tuples into kernel blocks."""
+    n = draw(st.integers(1, 30))
+    p = draw(st.integers(1, 3))
+    cells = st.lists(st.integers(-2, 2), min_size=p, max_size=p)
+    X = draw(st.lists(cells, min_size=n, max_size=n))
+    X += [X[i] for i in draw(st.lists(st.integers(0, n - 1), max_size=5))]
+    n = len(X)
+    y = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    ids = np.sort(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)))
+    rel = Relation(ids=np.array(ids, np.int64), X=np.array(X, float), y=np.array(y, float))
+    grid = linalg.make_grid(n, draw(st.integers(1, 6)), draw(st.none() | st.integers(1, n)))
+    k = draw(st.integers(1, n + 1))
+    sizes = draw(st.lists(st.integers(1, adaptive.SWEEP_BLOCK), min_size=1, max_size=6))
+    return rel, grid, k, draw(st.permutations(range(n))), sizes
+
+
+def _sweep_in_blocks(rel, grid, val, positions, sizes, incremental=True):
+    phi, l_star, s = {}, {}, 0
+    while s < len(positions):
+        pos = np.array(positions[s:s + sizes[len(phi) % len(sizes)]], dtype=np.int64)
+        s += len(pos)
+        ph, ls = adaptive._sweep_block(rel, pos, grid, val, linalg.DEFAULT_ALPHA, incremental)
+        for i, p in enumerate(pos):
+            phi[int(p)], l_star[int(p)] = ph[i], int(ls[i])
+    return phi, l_star
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=_lattice_sweeps())
+def test_block_kernel_matches_per_tuple_reference(data):
+    """The block kernel equals the per-tuple path (ordering, from-scratch
+    models, validation scoring), and a tuple's output is bitwise the same
+    whether it is swept alone or in any block. The reference sums each
+    prediction in the kernel's order: on a lattice several candidates can
+    fit exactly, and their costs then tie up to the last bit."""
+    rel, grid, k, positions, sizes = data
+    val = adaptive._reverse_validation(self_knn(rel, k))
+    phi, l_star = _sweep_in_blocks(rel, grid, val, positions, sizes)
+    alone = _sweep_in_blocks(rel, grid, val, positions, [1])
+    scratch = _sweep_in_blocks(rel, grid, val, positions, sizes, incremental=False)
+    ptr, idx = val
+    for i in range(rel.n):
+        order = adaptive._sorted_neighbor_order(rel, i)
+        phis = linalg.prefix_params_scratch(rel.X[order], rel.y[order], grid)
+        v = idx[ptr[i]:ptr[i + 1]]
+        pred = (linalg.design(rel.X[v])[:, None, :] * phis).sum(axis=-1)
+        g = int(np.argmin(((pred - rel.y[v][:, None]) ** 2).sum(axis=0)))
+        assert l_star[i] == grid[g] == scratch[1][i]
+        np.testing.assert_allclose(phi[i], phis[g], rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(scratch[0][i], phis[g], rtol=1e-9, atol=1e-9)
+        np.testing.assert_array_equal(phi[i], alone[0][i])
+        assert l_star[i] == alone[1][i]
+
+
+def test_block_kernel_bitwise_independent_of_block_on_inexact_ties():
+    """A lattice scaled by 0.1 and shifted: its ties become near-ties whose
+    order follows the distance rounding, and a GEMM rounds differently
+    for different row counts. The kernel pads every block to one row
+    count, so each tuple still gets the same bits in any block."""
+    rng = np.random.default_rng(3)
+    n = 150
+    X = rng.integers(-2, 3, size=(n, 3)) * 0.1 + 7.3
+    rel = Relation(ids=np.arange(n, dtype=np.int64), X=X, y=X @ [1.0, -2.0, 0.5] + rng.normal(size=n))
+    grid = linalg.make_grid(n, 7, None)
+    val = adaptive._reverse_validation(self_knn(rel, 10))
+    positions = rng.permutation(n).tolist()
+    blocks = _sweep_in_blocks(rel, grid, val, positions, [adaptive.SWEEP_BLOCK, 3, 11, 1])
+    alone = _sweep_in_blocks(rel, grid, val, positions, [1])
+    for i in range(n):
+        np.testing.assert_array_equal(blocks[0][i], alone[0][i])
+        assert blocks[1][i] == alone[1][i]

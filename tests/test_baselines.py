@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines import DEFAULT_K, METHODS
 from repro.baselines.regression import glr_fit
-from repro.core import linalg
+from repro.core import linalg, nn
 from repro.oracle import assert_equivalent
 
 ATTRS = ["A1", "A2", "A3"]
@@ -229,6 +229,22 @@ class TestBLR:
         a = _run(spark, "BLR", linear_data, seed=0)
         b = _run(spark, "BLR", linear_data, seed=1)
         assert not np.allclose(a, b)
+
+
+class TestERACER:
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_blocked_self_knn_leaves_output_unchanged(self, spark, linear_data, monkeypatch, lattice):
+        """The training-side self-kNN runs in KNN_BLOCK-row blocks; 7-row
+        blocks (cutting through exact ties on a lattice) impute exactly
+        what one block over all rows does."""
+        if lattice:
+            pdf, _, q_pdf, q, truth = linear_data
+            pdf = pdf.assign(A1=np.round(pdf["A1"]), A2=np.round(pdf["A2"]))
+            linear_data = (pdf, spark.createDataFrame(pdf), q_pdf, q, truth)
+        monkeypatch.setattr(nn, "KNN_BLOCK", 10**6)
+        whole = _run(spark, "ERACER", linear_data)
+        monkeypatch.setattr(nn, "KNN_BLOCK", 7)
+        np.testing.assert_array_equal(_run(spark, "ERACER", linear_data), whole)
 
 
 class TestRegistry:

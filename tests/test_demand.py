@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from pyspark.accumulators import AccumulatorParam
 
-from repro.core import adaptive, iim
+from repro.core import adaptive, iim, nn
 from repro.core.adaptive import adaptive_learn
 from repro.core.nn import ID, collect_relation, knn_numpy
 from repro.eval.harness import SCALES, TABLE_V_DATASETS, prepare_experiment
@@ -100,13 +100,13 @@ def test_blocked_knn_matches_knn_numpy(spark, tied, monkeypatch, k):
     r, q, F = tied
     rel = collect_relation(r, F, "A_y")
     Q = q.toPandas()[F].to_numpy()
-    monkeypatch.setattr(adaptive, "KNN_BLOCK", 7)
+    monkeypatch.setattr(nn, "KNN_BLOCK", 7)
     want_self, _ = knn_numpy(
         rel.X, rel.X, min(k, rel.n - 1), r_ids=rel.ids, exclude_ids=rel.ids, q_ids=rel.ids
     )
-    np.testing.assert_array_equal(adaptive._self_knn(rel, k), want_self)
+    np.testing.assert_array_equal(nn.self_knn(rel, k), want_self)
     want_q, _ = knn_numpy(Q, rel.X, k, r_ids=rel.ids)
-    np.testing.assert_array_equal(adaptive._knn(rel, Q, k), want_q)
+    np.testing.assert_array_equal(nn.knn_blocked(rel, Q, k), want_q)
 
 
 def test_output_independent_of_partitioning(spark, tied):
@@ -142,18 +142,18 @@ def test_one_collect_and_sweep_of_the_neighbor_union(spark, tied, monkeypatch, l
     monkeypatch.setattr(iim, "collect_relation", counting_collect)
 
     swept = spark.sparkContext.accumulator([], _ListParam())
-    real_pick = adaptive._pick
+    real_block = adaptive._sweep_block
 
-    def recording_pick(rel, pos, *a, **kw):
-        swept.add([int(pos)])
-        return real_pick(rel, pos, *a, **kw)
+    def recording_block(rel, pos, *a, **kw):
+        swept.add(pos.tolist())
+        return real_block(rel, pos, *a, **kw)
 
-    monkeypatch.setattr(adaptive, "_pick", recording_pick)
+    monkeypatch.setattr(adaptive, "_sweep_block", recording_block)
     if l is not None:
         def no_self_knn(*a, **kw):
             raise AssertionError("fixed l computed a self-kNN")
 
-        monkeypatch.setattr(adaptive, "_self_knn", no_self_knn)
+        monkeypatch.setattr(adaptive, "self_knn", no_self_knn)
     iim.iim_impute(spark, r, q, F, "A_y", k=4, l=l).toPandas()
 
     assert len(collects) == 1

@@ -3,8 +3,10 @@ numpy kNN, plus DuckDB-oracle checks of the distance computation."""
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import adaptive, nn
+from repro.core import nn
 from repro.oracle import assert_equivalent
 
 
@@ -154,10 +156,59 @@ def test_self_knn_matches_join(spark, small_rel):
     rel_pdf, rel_df = small_rel
     F = ["A1", "A2"]
     rel = nn.collect_relation(rel_df, F, "A3")
-    got = rel.ids[adaptive._self_knn(rel, 4)].ravel()
+    got = rel.ids[nn.self_knn(rel, 4)].ravel()
     sql_pairs = (
         nn.knn_join(rel_df, rel_df, F, 4, exclude_self=True)
         .toPandas()
         .sort_values(["q_id", "rank"])
     )
     assert got.tolist() == sql_pairs["n_id"].tolist()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda pdf: pdf.assign(A1=pdf["A1"].where(pdf.index != 3)),  # NaN in F
+        lambda pdf: pdf.assign(A3=pdf["A3"].where(pdf.index != 5, np.inf)),  # inf in A_x
+        lambda pdf: pdf.assign(row_id=pdf["row_id"].where(pdf.index != 7, 2)),  # duplicate id
+    ],
+    ids=["nan_in_F", "inf_in_A_x", "duplicate_row_id"],
+)
+def test_collect_relation_rejects_bad_input(spark, small_rel, bad):
+    rel_pdf, _ = small_rel
+    with pytest.raises(ValueError, match="NaN or infinite|duplicate row_id"):
+        nn.collect_relation(spark.createDataFrame(bad(rel_pdf)), ["A1", "A2"], "A3")
+
+
+def _knn_rowwise(Q, R, k, r_ids, exclude_ids):
+    """Reference: full (distance, id) lexsort of every row on its own."""
+    d = nn.pairwise_dist(Q, R)
+    if exclude_ids is not None:
+        for qi, ex in enumerate(exclude_ids):
+            d[qi, r_ids == ex] = np.inf
+    order = np.array([np.lexsort((r_ids, row))[:k] for row in d])
+    return order, np.take_along_axis(d, order, axis=1)
+
+
+@st.composite
+def _lattice_knn(draw):
+    """Points on a small integer lattice (many exact ties, also at the
+    k-th slot), unsorted unique ids and optional own-id exclusions."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 3))
+    cells = st.lists(st.integers(-2, 2), min_size=p, max_size=p)
+    R = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
+    Q = np.array(draw(st.lists(cells, min_size=1, max_size=8)), dtype=np.float64)
+    r_ids = np.array(draw(st.permutations(range(0, 3 * n, 3))), dtype=np.int64)
+    exclude = draw(st.none() | st.lists(st.integers(0, 3 * n), min_size=len(Q), max_size=len(Q)))
+    return Q, R, draw(st.integers(1, n + 1)), r_ids, None if exclude is None else np.array(exclude)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_lattice_knn())
+def test_knn_numpy_matches_rowwise_lexsort(data):
+    Q, R, k, r_ids, exclude = data
+    got = nn.knn_numpy(Q, R, k, r_ids=r_ids, exclude_ids=exclude, q_ids=exclude)
+    want = _knn_rowwise(Q, R, min(k, len(R)), r_ids, exclude)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
