@@ -3,7 +3,6 @@ from .adaptive import adaptive_learn, adaptive_reference
 from .iim import combine_candidates, iim_impute, impute, learn_models
 from .linalg import (
     DEFAULT_ALPHA,
-    IncrementalRidge,
     design,
     make_grid,
     prefix_params,
@@ -17,7 +16,6 @@ from .nn import Relation, collect_relation, knn_join, knn_numpy, pairwise_dist
 
 __all__ = [
     "DEFAULT_ALPHA",
-    "IncrementalRidge",
     "Relation",
     "adaptive_learn",
     "adaptive_reference",

@@ -4,8 +4,9 @@ Implements the paper's Formulas 5-7 (ridge over a neighbor set), the
 single-neighbor rule of Section III-A2, and the incremental U/V
 computation of Proposition 3 (Formulas 15-21), which turns the cost of
 learning the model at neighbor count ``l+h`` from O(m^2 (l+h)) into
-O(m^2 h) given the model state at ``l``. :func:`candidate_params` runs
-that computation for a block of tuples at once (the adaptive sweep's
+O(m^2 h) given the model state at ``l``. :func:`prefix_grams` runs
+that computation for a block of tuples at once and
+:func:`candidate_params` solves their models (the adaptive sweep's
 kernel); :func:`prefix_params` is its one-tuple form.
 
 All functions are pure numpy so they can run inside Spark python
@@ -54,34 +55,6 @@ def single_neighbor_phi(y_self: float, m: int) -> np.ndarray:
     return phi
 
 
-class IncrementalRidge:
-    """Stateful U/V accumulator implementing Proposition 3.
-
-    ``add(X_delta, y_delta)`` folds a batch of h new neighbors into U and
-    V in O(m^2 h); ``phi(alpha)`` solves Formula 19 in O(m^3), both
-    independent of the number l of neighbors already absorbed.
-    """
-
-    def __init__(self, m: int):
-        self.m = m  # parameter dimension incl. intercept
-        self.U = np.zeros((m, m), dtype=np.float64)
-        self.V = np.zeros(m, dtype=np.float64)
-        self.count = 0
-
-    def add(self, X_delta: np.ndarray, y_delta: np.ndarray) -> "IncrementalRidge":
-        """Absorb the neighbor increment (Formulas 20-21)."""
-        Xd = design(X_delta)
-        if Xd.shape[1] != self.m:
-            raise ValueError(f"expected {self.m - 1} features, got {Xd.shape[1] - 1}")
-        self.U += Xd.T @ Xd
-        self.V += Xd.T @ np.asarray(y_delta, dtype=np.float64)
-        self.count += Xd.shape[0]
-        return self
-
-    def phi(self, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
-        return ridge_solve(self.U, self.V, alpha)
-
-
 def make_grid(n: int, h: int = 1, l_max: int | None = None) -> np.ndarray:
     """Candidate neighbor counts {1, 1+h, 1+2h, ...} <= min(n, l_max).
 
@@ -106,30 +79,40 @@ def augment(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([np.ones(y.shape + (1,)), X, y[..., None]], axis=-1)
 
 
-def candidate_params(
-    Z: np.ndarray, order: np.ndarray, grid: np.ndarray, alpha: float = DEFAULT_ALPHA
-) -> np.ndarray:
-    """Candidate models phi^(l), l in ``grid``, of a block of tuples at once.
+def prefix_grams(Z: np.ndarray, order: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Gram matrices Z^T Z of every tuple's first l neighbors, l in
+    ``grid``, for a block of tuples at once: a (B, |grid|, m+1, m+1)
+    array whose [:m, :m] block is U and [:m, m] column is V (Formulas
+    15-16).
 
     ``Z`` holds :func:`augment` rows; ``order[b]`` lists the rows of Z
     that are tuple b's neighbors, nearest (itself) first. The neighbors
     between consecutive grid points form a segment; one batched matmul
-    gives every segment's Gram matrix, a cumulative sum over segments
-    gives U and V at every grid point (Proposition 3: each candidate
-    costs O(m^2 h), constant in l), and one batched solve gives phi.
-    Segments are zero-padded to equal length, which adds exact zeros.
-    Every step is per tuple, so a tuple's models do not depend on the
-    rest of its block. Returns a (B, |grid|, m) array; grid point l=1
-    uses the single-neighbor rule.
+    gives every segment's Gram matrix, and a cumulative sum over segments
+    adds each increment to the previous U and V (Proposition 3, Formulas
+    20-21: each costs O(m^2 h), constant in l). Segments are zero-padded
+    to equal length, which adds exact zeros. Every step is per tuple, so
+    a tuple's Grams do not depend on the rest of its block.
     """
     grid = np.asarray(grid, dtype=np.int64)
-    m = Z.shape[1] - 1
     bounds = np.concatenate([[0], grid])
     seg = bounds[:-1, None] + np.arange(np.diff(bounds).max())  # (S, L)
     seg[seg >= bounds[1:, None]] = grid[-1]  # padding -> the zero row below
     padded = np.concatenate([order[:, : grid[-1]], np.full((len(order), 1), len(Z))], axis=1)
-    Zs = np.concatenate([Z, np.zeros((1, m + 1))])[padded[:, seg]]  # (B, S, L, m+1)
-    G = np.cumsum(Zs.swapaxes(-1, -2) @ Zs, axis=1)
+    Zs = np.concatenate([Z, np.zeros((1, Z.shape[1]))])[padded[:, seg]]  # (B, S, L, m+1)
+    return np.cumsum(Zs.swapaxes(-1, -2) @ Zs, axis=1)
+
+
+def candidate_params(
+    Z: np.ndarray, order: np.ndarray, grid: np.ndarray, alpha: float = DEFAULT_ALPHA
+) -> np.ndarray:
+    """Candidate models phi^(l), l in ``grid``, of a block of tuples at once:
+    U and V at every grid point from :func:`prefix_grams`, then one
+    batched solve (Formula 19). Returns a (B, |grid|, m) array; grid
+    point l=1 uses the single-neighbor rule.
+    """
+    m = Z.shape[1] - 1
+    G = prefix_grams(Z, order, grid)
     phis = np.linalg.solve(G[..., :m, :m] + alpha * np.eye(m), G[..., :m, m:])[..., 0]
     if grid[0] == 1:
         phis[:, 0] = 0.0

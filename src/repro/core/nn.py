@@ -10,10 +10,14 @@ the paper's examples):
   "nearest-neighbor lookup via joins" path; quadratic, used at test
   scale and oracle-checked.
 * :func:`knn_numpy` on a collected :class:`Relation` — vectorized numpy kNN
-  against a collected copy of r (one argpartition and one row-wise
-  lexsort per call), used by the scalable engines: on the driver in
-  KNN_BLOCK-row blocks by :func:`knn_blocked` (IIM and ERACER), inside
-  mapInPandas partitions by the kNN-based baselines.
+  against a collected copy of r, used by the scalable engines: on the Spark
+  driver in KNN_BLOCK-row blocks by :func:`knn_blocked` (IIM and
+  ERACER), inside mapInPandas partitions by the kNN-based baselines.
+  It is exact but ranks only the entries that can be neighbors: a
+  row's k-th smallest squared distance over a strided sample of the
+  columns bounds its true k-th from above, and only the entries within
+  that bound (plus a rounding margin) get a Formula-1 distance and a
+  (distance, id) lexsort — about 2 % of them on CA.
 
 Ties are broken deterministically by (distance, neighbor row_id) in
 both engines so they agree bit-for-bit.
@@ -30,7 +34,9 @@ from pyspark.sql import functions as F_
 
 ID = "row_id"
 #: Rows per distance block of :func:`knn_blocked`.
-KNN_BLOCK = 256
+KNN_BLOCK = 64
+#: Column stride of the sample that bounds each row's k-th distance.
+_SAMPLE_STRIDE = 8
 
 
 def distance_expr(F: Sequence[str], left: str = "q_", right: str = "n_"):
@@ -81,16 +87,78 @@ def knn_join(
     )
 
 
+def _sq_dist(Q: np.ndarray, R: np.ndarray, rn: np.ndarray) -> np.ndarray:
+    """(|Q| x |R|) squared distances by the expansion
+    (||q||^2 + ||r||^2) - 2 q.r, computed in place in two full-size
+    arrays; ``rn`` is ``(R**2).sum(1)``. May hold fp negatives."""
+    S = np.add.outer((Q**2).sum(1), rn)
+    G = Q @ R.T
+    G *= 2.0
+    S -= G
+    return S
+
+
+def _formula1(S: np.ndarray, m: int) -> np.ndarray:
+    """Formula 1 from squared distances over m attributes, in place:
+    sqrt(max(S, 0) / m), the clamp removing fp negatives."""
+    np.maximum(S, 0.0, out=S)
+    S /= m
+    return np.sqrt(S, out=S)
+
+
 def pairwise_dist(Q: np.ndarray, R: np.ndarray) -> np.ndarray:
     """(|Q| x |R|) Formula-1 distances, vectorized."""
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     R = np.atleast_2d(np.asarray(R, dtype=np.float64))
-    # ||q-r||^2 = ||q||^2 + ||r||^2 - 2 q.r ; clamp fp negatives.
-    sq = (
-        (Q**2).sum(1)[:, None] + (R**2).sum(1)[None, :] - 2.0 * (Q @ R.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq / Q.shape[1])
+    return _formula1(_sq_dist(Q, R, (R**2).sum(1)), Q.shape[1])
+
+
+def _positions(r_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Position in ``r_ids`` (unique) of each of ``ids``, -1 if absent."""
+    ids = np.asarray(ids)
+    srt = np.argsort(r_ids, kind="stable")
+    at = srt[np.minimum(np.searchsorted(r_ids, ids, sorter=srt), len(r_ids) - 1)]
+    return np.where(r_ids[at] == ids, at, -1)
+
+
+def _knn(
+    Q: np.ndarray, R: np.ndarray, rn: np.ndarray, k: int, r_ids: np.ndarray, ex: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`knn_numpy` for ``k <= n``, given R's squared norms ``rn`` and
+    the position ``ex`` (-1: none) of each query's excluded row.
+
+    Every row's candidates are the entries whose squared distance S is at
+    most tau = max(t, 0)(1 + 2^-20) + 2^-1000, where t is the k-th smallest
+    S over the strided sample ``S[:, ::_SAMPLE_STRIDE]``; only they get a
+    Formula-1 distance and one (row, distance, id) lexsort ranks them.
+    The candidates hold the whole (distance, id) top-k, ties included.
+    Proof: D(s) = sqrt(max(s, 0) / |F|), as rounded, is non-decreasing in
+    s. The sample holds k entries with S <= t, so the row's k-th smallest
+    distance is at most D(t), and so is every top-k distance. Rounding
+    merges distinct S into one D only within a few units in the last
+    place: if s > tau, then s/|F| exceeds t/|F| by a factor above
+    1 + 2^-20, or by more than 2^-1000/|F| where t/|F| is subnormal or
+    t <= 0, and each of the division and the sqrt rounds by at most
+    2^-53 relative or one subnormal step (any |F| < 2^40), so
+    D(s) > D(t). Hence an entry with D <= D(t) has S <= tau. Rows whose
+    sample has at most k columns (n <= 8k) are ranked in full.
+    """
+    S = _sq_dist(Q, R, rn)
+    rows = np.arange(len(S))
+    if ex is not None:
+        hit = ex >= 0
+        S[rows[hit], ex[hit]] = np.inf
+    if S.shape[1] <= _SAMPLE_STRIDE * k:
+        d = _formula1(S, Q.shape[1])
+        order = np.lexsort((np.broadcast_to(r_ids, d.shape), d), axis=1)[:, :k]
+        return order, np.take_along_axis(d, order, axis=1)
+    t = np.partition(S[:, ::_SAMPLE_STRIDE], k - 1, axis=1)[:, k - 1]
+    tau = np.maximum(t, 0.0) * (1.0 + 2.0**-20) + 2.0**-1000
+    qi, col = np.nonzero(S <= tau[:, None])
+    d = _formula1(S[qi, col], Q.shape[1])
+    srt = np.lexsort((r_ids[col], d, qi))
+    take = srt[np.searchsorted(qi, rows)[:, None] + np.arange(k)]
+    return col[take], d[take]
 
 
 def knn_numpy(
@@ -105,39 +173,17 @@ def knn_numpy(
     """Indices (into R) and distances of the k nearest rows of R per query.
 
     Tie-break: (distance, r_id) ascending, matching :func:`knn_join`;
-    ``r_ids`` must be unique. ``exclude_ids`` (aligned with Q via
-    ``q_ids``) removes the query's own row from candidacy (validation
-    mode).
+    ``r_ids`` must be unique. ``exclude_ids[i]`` (aligned with Q) is
+    removed from query i's candidacy (validation mode). ``q_ids`` is
+    unused and kept for existing callers. Exact: only the entries a
+    sampled bound cannot rule out are ranked (see :func:`_knn`).
     """
+    Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     R = np.atleast_2d(np.asarray(R, dtype=np.float64))
-    n = R.shape[0]
     if r_ids is None:
-        r_ids = np.arange(n)
-    d = pairwise_dist(Q, R)
-    rows = np.arange(d.shape[0])[:, None]
-    if exclude_ids is not None:
-        ex = np.asarray(exclude_ids)
-        srt = np.argsort(r_ids, kind="stable")
-        at = srt[np.minimum(np.searchsorted(r_ids, ex, sorter=srt), n - 1)]
-        hit = r_ids[at] == ex
-        d[rows[hit, 0], at[hit]] = np.inf
-    k = min(k, n)
-    if k * 4 < n:
-        # Exact fast path: argpartition to the k-th distance, then
-        # (dist, id)-lexsort the k candidates only — O(n) per row instead
-        # of O(n log n). Rows whose k-th distance ties beyond slot k widen
-        # to all the ties, since argpartition cuts a tie arbitrarily.
-        part = np.argpartition(d, k - 1, axis=1)
-        kth = d[rows, part[:, k - 1 : k]]
-        cand = part[:, :k]
-        order = cand[rows, np.lexsort((r_ids[cand], d[rows, cand]), axis=1)]
-        for qi in np.flatnonzero((d <= kth).sum(axis=1) > k):
-            row = d[qi]
-            wide = np.flatnonzero(row <= kth[qi, 0])
-            order[qi] = wide[np.lexsort((r_ids[wide], row[wide]))[:k]]
-    else:
-        order = np.lexsort((np.broadcast_to(r_ids, d.shape), d), axis=1)[:, :k]
-    return order, d[rows, order]
+        r_ids = np.arange(len(R))
+    ex = None if exclude_ids is None else _positions(r_ids, exclude_ids)
+    return _knn(Q, R, (R**2).sum(1), min(k, len(R)), r_ids, ex)
 
 
 @dataclass(frozen=True)
@@ -177,15 +223,18 @@ def collect_relation(df: DataFrame, F: Sequence[str], A_x: str, id_col: str = ID
 
 def knn_blocked(rel: Relation, X: np.ndarray, k: int, own_ids: np.ndarray | None = None) -> np.ndarray:
     """Positions of the k nearest tuples of r to each row of ``X``, nearest
-    first, with :func:`knn_numpy` in KNN_BLOCK-row blocks, so at most
-    KNN_BLOCK x n distances are held whatever the number of rows.
-    ``own_ids`` (aligned with X) excludes each row's own tuple."""
-    out = np.empty((len(X), min(k, rel.n)), dtype=np.int64)
+    first, as :func:`knn_numpy` returns them, in KNN_BLOCK-row blocks, so
+    at most KNN_BLOCK x n distances are held whatever the number of rows.
+    r's squared norms and the excluded positions are computed once per
+    call. ``own_ids`` (aligned with X) excludes each row's own tuple."""
+    X = np.asarray(X, dtype=np.float64)
+    k = min(k, rel.n)
+    rn = (rel.X**2).sum(1)
+    ex = None if own_ids is None else _positions(rel.ids, own_ids)
+    out = np.empty((len(X), k), dtype=np.int64)
     for s in range(0, len(X), KNN_BLOCK):
-        ex = None if own_ids is None else own_ids[s:s + KNN_BLOCK]
-        out[s:s + KNN_BLOCK], _ = knn_numpy(
-            X[s:s + KNN_BLOCK], rel.X, k, r_ids=rel.ids, exclude_ids=ex, q_ids=ex
-        )
+        blk = slice(s, s + KNN_BLOCK)
+        out[blk], _ = _knn(X[blk], rel.X, rn, k, rel.ids, None if ex is None else ex[blk])
     return out
 
 

@@ -1,5 +1,5 @@
 """Synthetic paper datasets and missing-value injection."""
-from .generators import DATASETS, DatasetSpec, attributes, generate, to_spark
+from .generators import DATASETS, DatasetSpec, attributes, generate
 from .masking import inject_missing, split_complete
 
 __all__ = [
@@ -9,5 +9,4 @@ __all__ = [
     "generate",
     "inject_missing",
     "split_complete",
-    "to_spark",
 ]

@@ -28,7 +28,6 @@ from typing import Callable
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 ID = "row_id"
 
@@ -221,7 +220,3 @@ def generate(name: str, *, n: int | None = None, seed: int | None = None) -> pd.
 def attributes(name: str) -> list[str]:
     return _attrs(DATASETS[name].m)
 
-
-def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """pandas -> Spark with a stable schema (row_id long, attrs double)."""
-    return spark.createDataFrame(pdf)

@@ -78,34 +78,27 @@ class TestSingleNeighbor:
         np.testing.assert_allclose(pred, -2.0)
 
 
+def _grams(X, y, grid):
+    """prefix_grams of one tuple whose neighbors are X's rows in order."""
+    Z = linalg.augment(np.asarray(X, dtype=np.float64).reshape(len(y), -1), y)
+    return linalg.prefix_grams(Z, np.arange(len(Z))[None], np.asarray(grid))[0]
+
+
 class TestIncrementalRidge:
+    """Proposition 3's incremental U/V, as the sweep computes them."""
+
     @pytest.mark.parametrize("splits", [[10], [3, 7], [1, 1, 8], [5, 2, 2, 1]])
     def test_batched_adds_equal_single_fit(self, splits):
         X, y = _rand_xy(sum(splits), 3, 5)
-        acc = linalg.IncrementalRidge(4)
-        start = 0
-        for h in splits:
-            acc.add(X[start : start + h], y[start : start + h])
-            start += h
-        np.testing.assert_allclose(acc.phi(), linalg.ridge_fit(X, y), rtol=1e-8)
+        phis = linalg.prefix_params(X, y, np.cumsum(splits))
+        np.testing.assert_allclose(phis[-1], linalg.ridge_fit(X, y), rtol=1e-8)
 
     def test_u_v_are_sufficient_statistics(self):
         X, y = _rand_xy(12, 2, 6)
-        acc = linalg.IncrementalRidge(3).add(X, y)
+        G = _grams(X, y, [12])[0]
         D = linalg.design(X)
-        np.testing.assert_allclose(acc.U, D.T @ D)
-        np.testing.assert_allclose(acc.V, D.T @ y)
-
-    def test_count_tracks_rows(self):
-        X, y = _rand_xy(9, 2, 7)
-        acc = linalg.IncrementalRidge(3)
-        acc.add(X[:4], y[:4]).add(X[4:], y[4:])
-        assert acc.count == 9
-
-    def test_wrong_width_raises(self):
-        acc = linalg.IncrementalRidge(3)
-        with pytest.raises(ValueError):
-            acc.add(np.zeros((2, 5)), np.zeros(2))
+        np.testing.assert_allclose(G[:3, :3], D.T @ D)
+        np.testing.assert_allclose(G[:3, 3], D.T @ y)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -118,11 +111,10 @@ class TestIncrementalRidge:
         """Formulas 20-21: U/V folded in any two batches equal scratch."""
         X, y = _rand_xy(n, p, seed)
         c = max(1, min(n - 1, int(n * cut)))
-        acc = linalg.IncrementalRidge(p + 1)
-        acc.add(X[:c], y[:c]).add(X[c:], y[c:])
+        G = _grams(X, y, [c, n])[1]
         D = linalg.design(X)
-        np.testing.assert_allclose(acc.U, D.T @ D, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(acc.V, D.T @ y, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(G[: p + 1, : p + 1], D.T @ D, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(G[: p + 1, p + 1], D.T @ y, rtol=1e-9, atol=1e-9)
 
 
 class TestMakeGrid:
@@ -203,12 +195,12 @@ class TestPaperExamples:
 
     def test_example6_incremental_step(self):
         """U^(4), V^(4) from U^(3), V^(3) plus the t4 increment."""
-        acc = linalg.IncrementalRidge(2).add(self.X[:3], self.y[:3])
-        U3, V3 = acc.U.copy(), acc.V.copy()
+        G3, G4 = _grams(self.X, self.y, [3, 4])
+        U3, V3 = G3[:2, :2], G3[:2, 2]
         np.testing.assert_allclose(
             U3, [[3.0, 2.7], [2.7, 4.25]], atol=1e-12
         )
-        acc.add(self.X[3:4], self.y[3:4])
-        np.testing.assert_allclose(acc.U - U3, [[1.0, 2.9], [2.9, 8.41]])
-        np.testing.assert_allclose(acc.V - V3, [3.2, 9.28])
-        np.testing.assert_allclose(acc.phi(), [5.56, -0.87], atol=0.005)
+        np.testing.assert_allclose(G4[:2, :2] - U3, [[1.0, 2.9], [2.9, 8.41]])
+        np.testing.assert_allclose(G4[:2, 2] - V3, [3.2, 9.28])
+        phi4 = linalg.prefix_params(self.X, self.y, np.array([3, 4]))[-1]
+        np.testing.assert_allclose(phi4, [5.56, -0.87], atol=0.005)

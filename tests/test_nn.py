@@ -212,3 +212,71 @@ def test_knn_numpy_matches_rowwise_lexsort(data):
     want = _knn_rowwise(Q, R, min(k, len(R)), r_ids, exclude)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 40), st.integers(1, 9)),
+    offset=st.sampled_from([0.0, 1.0, 1e3, -1e6]),
+)
+def test_pairwise_dist_is_the_literal_expansion(seed, shape, offset):
+    """The in-place arithmetic rounds exactly as the textbook expression,
+    also for duplicate tuples far from the origin."""
+    nq, nr, m = shape
+    rng = np.random.default_rng(seed)
+    R = offset + rng.normal(size=(nr, m))
+    R[rng.integers(0, nr, nr // 2)] = R[0]
+    Q = np.vstack([R[:1], offset + rng.normal(size=(nq, m))])
+    a, b, G = (Q**2).sum(1)[:, None], (R**2).sum(1)[None, :], Q @ R.T
+    want = np.sqrt(np.maximum(a + b - 2.0 * G, 0) / m)
+    np.testing.assert_array_equal(nn.pairwise_dist(Q, R), want)
+
+
+@st.composite
+def _bound_knn(draw):
+    """Relations that probe knn_numpy's sampled bound: n at and around 8k,
+    unsorted ids and excluded ids inside the stride sample. Most rows lie
+    along one direction v at 0 or 1 ulp of a length whose two squared
+    distances from the origin query differ but round to one Formula-1
+    distance, so the k-th distance ties across the bound t; some rows
+    sit on a lattice, and some rows off the sample at squared distance
+    tau +- a few ulps."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.sampled_from([8 * k - 1, 8 * k, 8 * k + 1, 8 * k + 2])
+             | st.integers(8 * k + 1, 12 * k) | st.integers(2, 8 * k))
+    p = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.uniform(0.5, 2.0, p)
+    S = ((v * (1.0 + np.arange(64)[:, None] * 2.0**-52)) ** 2).sum(1)
+    D = np.sqrt(S / p)
+    merged = np.flatnonzero((D[:-1] == D[1:]) & (S[:-1] != S[1:]))
+    j0 = rng.choice(merged) if len(merged) else 0
+    R = v * (1.0 + (j0 + (rng.random(n) < 0.25))[:, None] * 2.0**-52)
+    R[rng.integers(0, n, draw(st.integers(0, n // 4)))] = rng.integers(-2, 3, p)
+    S0 = (R**2).sum(1)
+    if draw(st.booleans()) and len(S0[::8]) > k:  # straddle tau of the origin query
+        t = np.partition(S0[::8], k - 1)[k - 1]
+        root = np.sqrt(max(t, 0.0) * (1.0 + 2.0**-20) + 2.0**-1000)
+        off = rng.choice([i for i in range(n) if i % 8], min(4, n - len(S0[::8])), replace=False)
+        R[off] = 0.0
+        R[off, 0] = root * (1.0 + rng.integers(-3, 4, len(off)) * 2.0**-52)
+    Q = np.vstack([np.zeros(p), v * rng.choice([-1.0, 0.5, 2.0]), rng.integers(-2, 3, (2, p))])
+    r_ids = np.array(draw(st.permutations(range(0, 3 * n, 3))), dtype=np.int64)
+    exclude = draw(st.none() | st.lists(
+        st.sampled_from(r_ids[::8].tolist()) | st.sampled_from(r_ids.tolist()) | st.just(-1),
+        min_size=len(Q), max_size=len(Q)))
+    return Q, R, k, r_ids, None if exclude is None else np.array(exclude)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_bound_knn())
+def test_knn_numpy_bound_keeps_near_ties(data):
+    """Entries the sampled bound could wrongly cut (squared distances
+    that round to the k-th distance, or sit at tau) are ranked as the
+    row-wise full lexsort ranks them, bit for bit."""
+    Q, R, k, r_ids, exclude = data
+    got = nn.knn_numpy(Q, R, k, r_ids=r_ids, exclude_ids=exclude, q_ids=exclude)
+    want = _knn_rowwise(Q, R, min(k, len(R)), r_ids, exclude)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
