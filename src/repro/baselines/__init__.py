@@ -6,6 +6,11 @@ the Table V/VI/VII harnesses iterate over (IIM first, like the paper's
 column order); ``requires_multivariate`` marks methods the paper
 reports as "-" on the 2-attribute SN dataset, and ``k`` is the default
 neighbor count of the methods that take one.
+
+Mean and GLR are Catalyst plans. Every other method fits on r collected
+to the driver and imputes there too, each incomplete tuple on its own,
+through :func:`repro.core.iim.impute_on_driver`, so its output does not
+depend on partitioning.
 """
 from __future__ import annotations
 

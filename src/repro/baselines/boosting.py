@@ -2,19 +2,18 @@
 
 Substrate for the R `xgboost` package used by the paper (see
 ``repro.ml.gbt``). Fit on the driver over the collected complete
-relation; prediction is distributed. Reported "-" on the 2-attribute SN
-dataset, as in the paper.
+relation, as is prediction. Reported "-" on the 2-attribute SN dataset,
+as in the paper.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
+from ..core.iim import impute_on_driver
 from ..core.nn import collect_relation
 from ..ml.gbt import GBTRegressor
-from .common import map_impute
 
 
 def xgb_impute(
@@ -36,8 +35,4 @@ def xgb_impute(
         learning_rate=learning_rate,
         seed=seed,
     ).fit(rel.X, rel.y)
-
-    def batch(model_, Q: np.ndarray) -> np.ndarray:
-        return model_.predict(Q)
-
-    return map_impute(spark, incomplete, F, model, batch)
+    return impute_on_driver(spark, incomplete, F, lambda _, Q: model.predict(Q))

@@ -2,8 +2,8 @@
 
 Both cluster the complete relation on the complete attributes F, then
 impute A_x as the membership/responsibility-weighted average of the
-per-cluster A_x means ("cluster average" per Table II). Fits run on the
-driver over the collected (small) relation; prediction is distributed.
+per-cluster A_x means ("cluster average" per Table II). Fit and
+prediction run on the driver over the collected (small) relation.
 """
 from __future__ import annotations
 
@@ -12,10 +12,10 @@ from typing import Sequence
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
+from ..core.iim import impute_on_driver
 from ..core.nn import collect_relation
 from ..ml.fuzzy import FuzzyCMeans
 from ..ml.gmm import GaussianMixture
-from .common import map_impute
 
 
 def ifc_impute(
@@ -35,13 +35,7 @@ def ifc_impute(
     fcm = FuzzyCMeans(min(c, rel.n), fuzz=fuzz, seed=seed).fit(rel.X)
     U = fcm.memberships(rel.X) ** fuzz  # (n, c)
     cluster_y = (U.T @ rel.y) / np.maximum(U.sum(axis=0), 1e-12)
-
-    def batch(payload, Q: np.ndarray) -> np.ndarray:
-        fcm_, cy = payload
-        W = fcm_.memberships(Q)
-        return W @ cy
-
-    return map_impute(spark, incomplete, F, (fcm, cluster_y), batch)
+    return impute_on_driver(spark, incomplete, F, lambda _, Q: fcm.memberships(Q) @ cluster_y)
 
 
 def gmm_impute(
@@ -61,10 +55,4 @@ def gmm_impute(
     gm = GaussianMixture(min(c, rel.n), seed=seed).fit(rel.X)
     R = gm.responsibilities(rel.X)
     comp_y = (R.T @ rel.y) / np.maximum(R.sum(axis=0), 1e-12)
-
-    def batch(payload, Q: np.ndarray) -> np.ndarray:
-        gm_, cy = payload
-        W = gm_.responsibilities(Q)
-        return W @ cy
-
-    return map_impute(spark, incomplete, F, (gm, comp_y), batch)
+    return impute_on_driver(spark, incomplete, F, lambda _, Q: gm.responsibilities(Q) @ comp_y)

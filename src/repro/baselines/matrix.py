@@ -11,9 +11,9 @@ from typing import Sequence
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
+from ..core.iim import impute_on_driver
 from ..core.nn import collect_relation, knn_numpy
 from ..ml.svd_impute import SVDImputer
-from .common import map_impute
 
 
 def svd_impute(
@@ -31,13 +31,7 @@ def svd_impute(
     p = rel.X.shape[1]
     M = np.hstack([rel.X, rel.y[:, None]])  # attribute order: F..., A_x
     imp = SVDImputer(q).fit(M)
-    obs_idx = np.arange(p)
-
-    def batch(payload, Q: np.ndarray) -> np.ndarray:
-        imp_, obs = payload
-        return imp_.impute(Q, obs, p)
-
-    return map_impute(spark, incomplete, F, (imp, obs_idx), batch)
+    return impute_on_driver(spark, incomplete, F, lambda _, Q: imp.impute(Q, np.arange(p), p))
 
 
 def ills_impute(
@@ -56,28 +50,21 @@ def ills_impute(
     the full schema using the current imputations.
     """
     rel = collect_relation(r, F, A_x)
-    inc = incomplete.select("row_id", *F).toPandas().sort_values("row_id")
-    Q = inc[list(F)].to_numpy(np.float64)
     kk = min(k, rel.n)
-
     full_R = np.hstack([rel.X, rel.y[:, None]])
-    est = None
-    for it in range(max(1, iterations)):
-        if it == 0 or est is None:
-            idx, _ = knn_numpy(Q, rel.X, kk, r_ids=rel.ids)
-        else:  # refine neighbors using the imputed full tuples
-            Qfull = np.hstack([Q, est[:, None]])
-            idx, _ = knn_numpy(Qfull, full_R, kk, r_ids=rel.ids)
-        est = np.empty(len(Q))
-        for qi in range(len(Q)):
-            N = rel.X[idx[qi]]  # (k, |F|)
-            w, *_ = np.linalg.lstsq(N.T, Q[qi], rcond=None)
-            est[qi] = float(w @ rel.y[idx[qi]])
-    # Driver-side result: the iteration couples all incomplete tuples
-    # through the refined-distance step, so it cannot stream per batch.
-    import pandas as pd
 
-    out = pd.DataFrame(
-        {"row_id": inc["row_id"].to_numpy(np.int64), "imputed": est}
-    )
-    return spark.createDataFrame(out)
+    def predict(_, Q: np.ndarray) -> np.ndarray:
+        est = None
+        for _ in range(max(1, iterations)):
+            if est is None:
+                idx, _ = knn_numpy(Q, rel.X, kk, r_ids=rel.ids)
+            else:  # refine neighbors using the imputed full tuples
+                idx, _ = knn_numpy(np.hstack([Q, est[:, None]]), full_R, kk, r_ids=rel.ids)
+            est = np.empty(len(Q))
+            for qi in range(len(Q)):
+                N = rel.X[idx[qi]]  # (k, |F|)
+                w, *_ = np.linalg.lstsq(N.T, Q[qi], rcond=None)
+                est[qi] = float(w @ rel.y[idx[qi]])
+        return est
+
+    return impute_on_driver(spark, incomplete, F, predict)

@@ -14,8 +14,8 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession, functions as F_
 
 from ..core import linalg
-from ..core.nn import ID, collect_relation, knn_numpy, self_knn
-from .common import map_impute
+from ..core.iim import impute_on_driver
+from ..core.nn import ID, collect_relation, knn_blocked, knn_numpy, self_knn
 
 
 def glr_fit(
@@ -82,23 +82,23 @@ def loess_impute(
     rel = collect_relation(r, F, A_x)
     n_loc = min(rel.n, max(len(F) + 2, int(np.ceil(span * rel.n))))
 
-    def batch(rel_, Q: np.ndarray) -> np.ndarray:
-        idx, dist = knn_numpy(Q, rel_.X, n_loc, r_ids=rel_.ids)
+    def predict(_, Q: np.ndarray) -> np.ndarray:
+        idx, dist = knn_numpy(Q, rel.X, n_loc, r_ids=rel.ids)
         out = np.empty(len(Q))
         for qi in range(len(Q)):
             d = dist[qi]
             dmax = d[-1] if d[-1] > 0 else 1.0
             w = (1.0 - np.minimum(d / dmax, 1.0) ** 3) ** 3
             w = np.maximum(w, 1e-9)
-            Xd = linalg.design(rel_.X[idx[qi]])
+            Xd = linalg.design(rel.X[idx[qi]])
             W = w[:, None]
             U = Xd.T @ (W * Xd)
-            V = Xd.T @ (w * rel_.y[idx[qi]])
+            V = Xd.T @ (w * rel.y[idx[qi]])
             phi = linalg.ridge_solve(U, V, alpha)
-            out[qi] = linalg.design(Q[qi : qi + 1]) @ phi
+            out[qi] = (linalg.design(Q[qi : qi + 1]) @ phi)[0]
         return out
 
-    return map_impute(spark, incomplete, F, rel, batch)
+    return impute_on_driver(spark, incomplete, F, predict)
 
 
 def _bayes_draw(rel, alpha: float, seed: int) -> tuple[np.ndarray, float]:
@@ -135,31 +135,14 @@ def blr_impute(
     """
     rel = collect_relation(r, F, A_x)
     beta_star, sigma = _bayes_draw(rel, alpha, seed)
-    b = spark.sparkContext.broadcast((beta_star, sigma, seed))
-    cols = list(F)
 
-    import pandas as pd
-    from typing import Iterator
+    def predict(ids: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        noise = np.array(
+            [np.random.default_rng(seed + 7919 * int(i)).standard_normal() for i in ids]
+        )
+        return linalg.design(Q) @ beta_star + sigma * noise
 
-    from ..core.iim import IMPUTED_SCHEMA
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        bs, sg, sd = b.value
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            Q = pdf[cols].to_numpy(np.float64)
-            ids = pdf[ID].to_numpy(np.int64)
-            noise = np.array(
-                [np.random.default_rng(sd + 7919 * int(i)).standard_normal() for i in ids]
-            )
-            vals = linalg.design(Q) @ bs + sg * noise
-            yield pd.DataFrame({ID: ids, "imputed": vals})
-
-    src = incomplete.select(ID, *cols).repartition(
-        spark.sparkContext.defaultParallelism
-    )
-    return src.mapInPandas(run, IMPUTED_SCHEMA)
+    return impute_on_driver(spark, incomplete, F, predict)
 
 
 def pmm_impute(
@@ -176,7 +159,10 @@ def pmm_impute(
     """Predictive mean matching (mice.pmm): predict y-hat for queries with
     a posterior-draw regression and for the complete tuples with the OLS
     fit; impute a randomly chosen *observed* value among the ``donors``
-    complete tuples whose predictions are closest to the query's."""
+    complete tuples whose predictions are closest to the query's.
+
+    Each draw is seeded by row id, so the result is deterministic under
+    any partitioning."""
     rel = collect_relation(r, F, A_x)
     beta_star, _ = _bayes_draw(rel, alpha, seed)
     Xd = linalg.design(rel.X)
@@ -184,20 +170,17 @@ def pmm_impute(
     beta_hat = np.linalg.solve(U, Xd.T @ rel.y)
     yhat_obs = Xd @ beta_hat
 
-    def batch(payload, Q: np.ndarray) -> np.ndarray:
-        rel_, bs, yh, d, sd = payload
-        yq = linalg.design(Q) @ bs
+    def predict(ids: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        yq = linalg.design(Q) @ beta_star
         out = np.empty(len(Q))
         for qi in range(len(Q)):
-            gaps = np.abs(yh - yq[qi])
-            cand = np.argsort(gaps, kind="stable")[: min(d, rel_.n)]
-            rng = np.random.default_rng(sd + 104729 * qi)
-            out[qi] = rel_.y[int(rng.choice(cand))]
+            gaps = np.abs(yhat_obs - yq[qi])
+            cand = np.argsort(gaps, kind="stable")[: min(donors, rel.n)]
+            rng = np.random.default_rng(seed + 104729 * int(ids[qi]))
+            out[qi] = rel.y[int(rng.choice(cand))]
         return out
 
-    return map_impute(
-        spark, incomplete, F, (rel, beta_star, yhat_obs, donors, seed), batch
-    )
+    return impute_on_driver(spark, incomplete, F, predict)
 
 
 def eracer_impute(
@@ -218,16 +201,14 @@ def eracer_impute(
     rel = collect_relation(r, F, A_x)
     # training features: neighbors exclude self so y never leaks directly
     idx = self_knn(rel, k)
-    kk = idx.shape[1]
     nb_F = rel.X[idx].mean(axis=1)
     nb_y = rel.y[idx].mean(axis=1)
     feats = np.hstack([rel.X, nb_F, nb_y[:, None]])
     phi = linalg.ridge_fit(feats, rel.y, alpha)
 
-    def batch(payload, Q: np.ndarray) -> np.ndarray:
-        rel_, ph, kk_ = payload
-        qidx, _ = knn_numpy(Q, rel_.X, kk_, r_ids=rel_.ids)
-        qf = np.hstack([Q, rel_.X[qidx].mean(axis=1), rel_.y[qidx].mean(axis=1)[:, None]])
-        return linalg.design(qf) @ ph
+    def predict(_, Q: np.ndarray) -> np.ndarray:
+        qidx = knn_blocked(rel, Q, idx.shape[1])
+        qf = np.hstack([Q, rel.X[qidx].mean(axis=1), rel.y[qidx].mean(axis=1)[:, None]])
+        return linalg.design(qf) @ phi
 
-    return map_impute(spark, incomplete, F, (rel, phi, kk), batch)
+    return impute_on_driver(spark, incomplete, F, predict)

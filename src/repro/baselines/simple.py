@@ -11,8 +11,8 @@ from typing import Sequence
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession, functions as F_
 
-from ..core.nn import ID, Relation, collect_relation, knn_join, knn_numpy
-from .common import map_impute
+from ..core.iim import impute_on_driver
+from ..core.nn import ID, Relation, collect_relation, knn_blocked, knn_join
 
 
 def mean_impute(
@@ -49,12 +49,9 @@ def knn_impute(
             .withColumnRenamed("q_id", ID)
         )
     rel = collect_relation(r, F, A_x)
-
-    def batch(rel_: Relation, Q: np.ndarray) -> np.ndarray:
-        idx, _ = knn_numpy(Q, rel_.X, min(k, rel_.n), r_ids=rel_.ids)
-        return rel_.y[idx].mean(axis=1)
-
-    return map_impute(spark, incomplete, F, rel, batch)
+    return impute_on_driver(
+        spark, incomplete, F, lambda _, Q: rel.y[knn_blocked(rel, Q, k)].mean(axis=1)
+    )
 
 
 def knne_impute(
@@ -74,17 +71,15 @@ def knne_impute(
     """
     rel = collect_relation(r, F, A_x)
     p = rel.X.shape[1]
-    subsets = [tuple(range(p))]
+    subsets = [list(range(p))]
     if p > 1:
-        subsets += [tuple(j for j in range(p) if j != drop) for drop in range(p)]
+        subsets += [[j for j in range(p) if j != drop] for drop in range(p)]
 
-    def batch(payload, Q: np.ndarray) -> np.ndarray:
-        rel_, subs = payload
+    def predict(_, Q: np.ndarray) -> np.ndarray:
         preds = []
-        for s in subs:
-            cols = list(s)
-            idx, _ = knn_numpy(Q[:, cols], rel_.X[:, cols], min(k, rel_.n), r_ids=rel_.ids)
-            preds.append(rel_.y[idx].mean(axis=1))
+        for cols in subsets:
+            sub = Relation(rel.ids, rel.X[:, cols], rel.y)
+            preds.append(rel.y[knn_blocked(sub, Q[:, cols], k)].mean(axis=1))
         return np.mean(preds, axis=0)
 
-    return map_impute(spark, incomplete, F, (rel, subsets), batch)
+    return impute_on_driver(spark, incomplete, F, predict)

@@ -20,12 +20,13 @@ Both phases come in two engines:
 * ``engine="broadcast"`` — the scalable path used by the experiment
   harness. Learning is :mod:`repro.core.adaptive`'s pipeline (fixed l is
   its one-point grid): r is collected and broadcast once and executors
-  sweep the candidate models. Imputation runs on the driver: the
-  incomplete tuples' kNN in blocks, then the vote.
+  sweep the candidate models. Imputation runs on the driver through
+  :func:`impute_on_driver`, the tail the baselines share: the incomplete
+  tuples' kNN in blocks, then the vote.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import pandas as pd
@@ -172,33 +173,40 @@ def _impute_broadcast(spark, r, incomplete, models, F, A_x, k, weighting):
     if not np.array_equal(mp[ID].to_numpy(np.int64), rel.ids):
         raise ValueError("models must cover exactly the complete relation r")
     Phi = np.array(mp["phi"].tolist(), dtype=np.float64)  # aligned with rel rows
-    q_ids, Q = _queries(incomplete, F)
-    return _vote(spark, q_ids, Q, Phi, knn_blocked(rel, Q, k), weighting)
+    return impute_on_driver(
+        spark, incomplete, F, lambda _, Q: _vote(Q, Phi, knn_blocked(rel, Q, k), weighting)
+    )
 
 
-def _queries(incomplete: DataFrame, F: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Ids and F values of the incomplete tuples, collected in id order."""
-    qp = incomplete.select(ID, *F).toPandas().sort_values(ID)
-    return qp[ID].to_numpy(np.int64), qp[list(F)].to_numpy(np.float64)
-
-
-def _vote(
+def impute_on_driver(
     spark: SparkSession,
-    q_ids: np.ndarray,
-    Q: np.ndarray,
-    Phi: np.ndarray,
-    nn: np.ndarray,
-    weighting: str,
+    incomplete: DataFrame,
+    F: Sequence[str],
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> DataFrame:
+    """The imputation tail of the broadcast engine and of the baselines.
+
+    Collects ``(row_id, F)`` of the incomplete tuples in id order, computes
+    ``fn(ids, Q)`` on the driver (Q: their F values, one row per id) and
+    returns ``(row_id, imputed)``. Each tuple is imputed on its own
+    (Algorithm 2), so the result does not depend on how ``incomplete`` is
+    partitioned.
+    """
+    qp = incomplete.select(ID, *F).toPandas().sort_values(ID)
+    ids = qp[ID].to_numpy(np.int64)
+    vals = np.asarray(fn(ids, qp[list(F)].to_numpy(np.float64)), dtype=np.float64)
+    return spark.createDataFrame(pd.DataFrame({ID: ids, "imputed": vals}), IMPUTED_SCHEMA)
+
+
+def _vote(Q: np.ndarray, Phi: np.ndarray, nn: np.ndarray, weighting: str) -> np.ndarray:
     """Formulas 9-12: the model ``Phi[nn[x, i]]`` of each of t_x's
     neighbors predicts a candidate from ``Q[x]``; the vote combines them.
     ``Q`` is made C-contiguous because einsum's rounding follows the memory
     layout: pandas hands out F-ordered matrices, except for a single row,
-    and a row must impute the same whatever path or batch supplied it."""
+    and a row must impute the same whatever batch supplied it."""
     P = Phi[nn]  # (q, k, m)
     cand = P[:, :, 0] + np.einsum("qkm,qm->qk", P[:, :, 1:], np.ascontiguousarray(Q))
-    vals = combine_candidates(cand, weighting=weighting)
-    return spark.createDataFrame(pd.DataFrame({ID: q_ids, "imputed": vals}), IMPUTED_SCHEMA)
+    return combine_candidates(cand, weighting=weighting)
 
 
 def iim_impute(
@@ -240,13 +248,16 @@ def iim_impute(
         else:
             models = learn_models(spark, r, F, A_x, l, alpha=alpha, engine=engine)
         return impute(spark, r, incomplete, models, F, A_x, k, weighting=weighting, engine=engine)
-    q_ids, Q = _queries(incomplete, F)
-    rel, models, nn = adaptive_models(
-        spark, r, F, A_x, Q, k=k, h=h, l_max=l_max, alpha=alpha, l=l
-    )
-    mp = models.toPandas()
-    Phi = np.full((rel.n, len(F) + 1), np.nan)  # rows no query reads stay NaN
-    Phi[np.searchsorted(rel.ids, mp[ID].to_numpy(np.int64))] = np.array(
-        mp["phi"].tolist(), dtype=np.float64
-    ).reshape(len(mp), len(F) + 1)
-    return _vote(spark, q_ids, Q, Phi, nn, weighting)
+
+    def learn_and_vote(_, Q: np.ndarray) -> np.ndarray:
+        rel, models, nn = adaptive_models(
+            spark, r, F, A_x, Q, k=k, h=h, l_max=l_max, alpha=alpha, l=l
+        )
+        mp = models.toPandas()
+        Phi = np.full((rel.n, len(F) + 1), np.nan)  # rows no query reads stay NaN
+        Phi[np.searchsorted(rel.ids, mp[ID].to_numpy(np.int64))] = np.array(
+            mp["phi"].tolist(), dtype=np.float64
+        ).reshape(len(mp), len(F) + 1)
+        return _vote(Q, Phi, nn, weighting)
+
+    return impute_on_driver(spark, incomplete, F, learn_and_vote)

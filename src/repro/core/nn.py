@@ -10,9 +10,9 @@ the paper's examples):
   "nearest-neighbor lookup via joins" path; quadratic, used at test
   scale and oracle-checked.
 * :func:`knn_numpy` on a collected :class:`Relation` — vectorized numpy kNN
-  against a collected copy of r, used by the scalable engines: on the Spark
-  driver in KNN_BLOCK-row blocks by :func:`knn_blocked` (IIM and
-  ERACER), inside mapInPandas partitions by the kNN-based baselines.
+  against a collected copy of r, used on the Spark driver by the scalable
+  engines: in KNN_BLOCK-row blocks by :func:`knn_blocked` (IIM, kNN, kNNE
+  and ERACER), in one call by LOESS, which reads the distances, and ILLS.
   It is exact but ranks only the entries that can be neighbors: a
   row's k-th smallest squared distance over a strided sample of the
   columns bounds its true k-th from above, and only the entries within

@@ -20,7 +20,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..baselines import METHODS
-from ..datasets import attributes, generate, inject_missing
+from ..datasets import attributes, generate, inject_missing, split_complete
 from ..datasets.generators import ID
 from ..ml.kmeans import KMeans
 from ..ml.knn_classifier import IBk
@@ -46,7 +46,7 @@ def fill_masked(
     spec = METHODS[method]
     attrs = list(attrs)
     filled = masked.copy()
-    complete_pdf = masked[~masked[attrs].isna().any(axis=1)]
+    complete_pdf = split_complete(masked, attrs)
     if complete_pdf.empty:
         raise ValueError("no complete tuples to learn from")
     means = complete_pdf[attrs].mean()

@@ -59,6 +59,29 @@ def test_every_method_is_deterministic(spark, linear_data, name):
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
+@pytest.mark.parametrize("name", ALL)
+def test_every_method_is_invariant_to_partitioning(spark, linear_data, name):
+    """A method's output is a function of its inputs and seed only: r and
+    the queries in one partition, or in seven with the query rows
+    reversed, impute the same values. Mean and GLR aggregate with Spark's
+    sum/avg, which add the partitions' partial sums in partition order, so
+    they agree to rounding only."""
+    pdf, _, q_pdf, _, _ = linear_data
+
+    def run(parts, queries):
+        r = spark.createDataFrame(pdf).repartition(parts)
+        q = spark.createDataFrame(queries).repartition(parts)
+        out = METHODS[name].fn(spark, r, q, ["A1", "A2"], "A3", **METHODS[name].params())
+        return out.toPandas().sort_values("row_id")
+
+    one, seven = run(1, q_pdf), run(7, q_pdf.iloc[::-1])
+    np.testing.assert_array_equal(seven["row_id"], one["row_id"])
+    if name in ("Mean", "GLR"):
+        np.testing.assert_allclose(seven["imputed"], one["imputed"], rtol=1e-12)
+    else:
+        np.testing.assert_array_equal(seven["imputed"], one["imputed"])
+
+
 @pytest.mark.parametrize(
     "name",
     ["IIM", "kNN", "kNNE", "GLR", "LOESS", "ERACER", "ILLS", "XGB", "SVD"],
