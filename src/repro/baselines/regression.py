@@ -15,7 +15,7 @@ from pyspark.sql import DataFrame, SparkSession, functions as F_
 
 from ..core import linalg
 from ..core.iim import impute_on_driver
-from ..core.nn import ID, collect_relation, knn_blocked, knn_numpy, self_knn
+from ..core.nn import ID, KNN_BLOCK, argsort_rows, collect_relation, knn_blocked, knn_numpy, self_knn
 
 
 def glr_fit(
@@ -78,24 +78,26 @@ def loess_impute(
     alpha: float = linalg.DEFAULT_ALPHA,
 ) -> DataFrame:
     """Local regression: tricube-weighted linear fit over the span*n
-    nearest neighbors of each incomplete tuple, evaluated at t_x."""
+    nearest neighbors of each incomplete tuple, evaluated at t_x. The
+    neighbors are ranked KNN_BLOCK queries at a time, so at most
+    KNN_BLOCK x n distances are held."""
     rel = collect_relation(r, F, A_x)
     n_loc = min(rel.n, max(len(F) + 2, int(np.ceil(span * rel.n))))
 
     def predict(_, Q: np.ndarray) -> np.ndarray:
-        idx, dist = knn_numpy(Q, rel.X, n_loc, r_ids=rel.ids)
         out = np.empty(len(Q))
-        for qi in range(len(Q)):
-            d = dist[qi]
-            dmax = d[-1] if d[-1] > 0 else 1.0
-            w = (1.0 - np.minimum(d / dmax, 1.0) ** 3) ** 3
-            w = np.maximum(w, 1e-9)
-            Xd = linalg.design(rel.X[idx[qi]])
-            W = w[:, None]
-            U = Xd.T @ (W * Xd)
-            V = Xd.T @ (w * rel.y[idx[qi]])
-            phi = linalg.ridge_solve(U, V, alpha)
-            out[qi] = (linalg.design(Q[qi : qi + 1]) @ phi)[0]
+        for s in range(0, len(Q), KNN_BLOCK):
+            idx, dist = knn_numpy(Q[s:s + KNN_BLOCK], rel.X, n_loc, r_ids=rel.ids)
+            for qi, nb, d in zip(range(s, len(Q)), idx, dist):
+                dmax = d[-1] if d[-1] > 0 else 1.0
+                w = (1.0 - np.minimum(d / dmax, 1.0) ** 3) ** 3
+                w = np.maximum(w, 1e-9)
+                Xd = linalg.design(rel.X[nb])
+                W = w[:, None]
+                U = Xd.T @ (W * Xd)
+                V = Xd.T @ (w * rel.y[nb])
+                phi = linalg.ridge_solve(U, V, alpha)
+                out[qi] = (linalg.design(Q[qi : qi + 1]) @ phi)[0]
         return out
 
     return impute_on_driver(spark, incomplete, F, predict)
@@ -162,7 +164,8 @@ def pmm_impute(
     complete tuples whose predictions are closest to the query's.
 
     Each draw is seeded by row id, so the result is deterministic under
-    any partitioning."""
+    any partitioning. The donors are ranked by (gap, position), KNN_BLOCK
+    queries at a time."""
     rel = collect_relation(r, F, A_x)
     beta_star, _ = _bayes_draw(rel, alpha, seed)
     Xd = linalg.design(rel.X)
@@ -173,11 +176,11 @@ def pmm_impute(
     def predict(ids: np.ndarray, Q: np.ndarray) -> np.ndarray:
         yq = linalg.design(Q) @ beta_star
         out = np.empty(len(Q))
-        for qi in range(len(Q)):
-            gaps = np.abs(yhat_obs - yq[qi])
-            cand = np.argsort(gaps, kind="stable")[: min(donors, rel.n)]
-            rng = np.random.default_rng(seed + 104729 * int(ids[qi]))
-            out[qi] = rel.y[int(rng.choice(cand))]
+        for s in range(0, len(Q), KNN_BLOCK):
+            cand = argsort_rows(np.abs(yhat_obs - yq[s:s + KNN_BLOCK, None]), upto=donors)
+            for qi, c in zip(range(s, len(Q)), cand):
+                rng = np.random.default_rng(seed + 104729 * int(ids[qi]))
+                out[qi] = rel.y[int(rng.choice(c))]
         return out
 
     return impute_on_driver(spark, incomplete, F, predict)
@@ -199,6 +202,8 @@ def eracer_impute(
     combination of Figure 2. Simplification of the full ERACER graphical
     model documented in DESIGN.md."""
     rel = collect_relation(r, F, A_x)
+    if rel.n < 2:
+        raise ValueError(f"ERACER needs at least 2 complete tuples, r has {rel.n}")
     # training features: neighbors exclude self so y never leaks directly
     idx = self_knn(rel, k)
     nb_F = rel.X[idx].mean(axis=1)

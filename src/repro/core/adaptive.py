@@ -17,14 +17,15 @@ complete tuples (Algorithm 2), both with :func:`repro.core.nn.knn_blocked`.
 It inverts the validation assignments into reverse-kNN sets over all n
 tuples (n*k ids — tiny); one Spark pass fans the candidate sweep out over
 executors. There the block kernel :func:`_sweep_block` handles
-SWEEP_BLOCK tuples per call: one distance GEMM, one stable sort, the
-incremental prefix computation of Proposition 3 as segment Gram
-matrices, a cumulative sum and one batched solve, then the scoring of
-every validation tuple of the block. Each tuple ranks itself first, so
-its l=1 model is its own value (Section III-A2) even when it has a
-duplicate with a lower id. :func:`adaptive_learn` sweeps every tuple
-(learn once, impute many); one-shot imputation sweeps only the
-incomplete tuples' neighbors, the only models Algorithm 2 reads. A
+SWEEP_BLOCK tuples per call: one distance GEMM, one (distance, id)
+ranking by :func:`repro.core.nn.argsort_rows`, the incremental prefix
+computation of Proposition 3 as segment Gram matrices, a cumulative sum
+and one batched solve, then the scoring of every validation tuple of
+the block. Each tuple ranks itself first, so its l=1 model is its own
+value (Section III-A2) even when it has a duplicate with a lower id.
+:func:`adaptive_learn` sweeps every tuple (learn once, impute many);
+one-shot imputation sweeps only the incomplete tuples' neighbors, the
+only models Algorithm 2 reads. A
 swept tuple's validation set comes from the full self-kNN either way,
 and its output does not depend on which other tuples share its block,
 so its l* and phi do not depend on which other tuples are swept.
@@ -44,7 +45,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
 from . import linalg
-from .nn import ID, Relation, collect_relation, knn_blocked, pairwise_dist, self_knn
+from .nn import ID, Relation, argsort_rows, collect_relation, knn_blocked, pairwise_dist, self_knn
 
 ADAPTIVE_SCHEMA = StructType(
     [
@@ -112,17 +113,19 @@ def _sweep_block(
     One GEMM gives the block's distances (padded to SWEEP_BLOCK rows: a
     GEMM's rounding depends on its row count, and a tuple's models must
     not depend on its block); each tuple is set to rank itself first,
-    and a stable sort orders the rest by (distance, id), as r's ids are
-    ascending. The candidate models of every tuple come from one
-    :func:`linalg.candidate_params` call, and every validation tuple of
-    the block is scored at once.
+    and :func:`repro.core.nn.argsort_rows` orders the rest by (distance,
+    position), which is (distance, id) as r's ids are ascending: an
+    unstable vectorized sort, with only the rows that tie within the
+    grid's reach re-sorted by one integer key. The candidate models of
+    every tuple come from one :func:`linalg.candidate_params` call, and
+    every validation tuple of the block is scored at once.
     """
     B = len(pos)
     Q = np.zeros((SWEEP_BLOCK, rel.X.shape[1]))
     Q[:B] = rel.X[pos]
     d = pairwise_dist(Q, rel.X)[:B]
     d[np.arange(B), pos] = -np.inf
-    order = np.argsort(d, axis=1, kind="stable")
+    order = argsort_rows(d, upto=int(grid[-1]))
     if incremental:
         phis = linalg.candidate_params(linalg.augment(rel.X, rel.y), order, grid, alpha)
     else:  # the straightforward baseline of Table III

@@ -12,15 +12,18 @@ the paper's examples):
 * :func:`knn_numpy` on a collected :class:`Relation` — vectorized numpy kNN
   against a collected copy of r, used on the Spark driver by the scalable
   engines: in KNN_BLOCK-row blocks by :func:`knn_blocked` (IIM, kNN, kNNE
-  and ERACER), in one call by LOESS, which reads the distances, and ILLS.
+  and ERACER) and by LOESS, which reads the distances, in one call by ILLS.
   It is exact but ranks only the entries that can be neighbors: a
   row's k-th smallest squared distance over a strided sample of the
   columns bounds its true k-th from above, and only the entries within
   that bound (plus a rounding margin) get a Formula-1 distance and a
-  (distance, id) lexsort — about 2 % of them on CA.
+  (distance, id) ranking — about 2 % of them on CA.
 
 Ties are broken deterministically by (distance, neighbor row_id) in
-both engines so they agree bit-for-bit.
+both engines so they agree bit-for-bit. Every numpy-side ranking (this
+kNN, the adaptive sweep's neighbor order, PMM's donors) goes through
+:func:`argsort_rows`: numpy's default unstable argsort, which is SIMD
+vectorized where the CPU allows, with the tie order repaired afterwards.
 """
 from __future__ import annotations
 
@@ -113,6 +116,33 @@ def pairwise_dist(Q: np.ndarray, R: np.ndarray) -> np.ndarray:
     return _formula1(_sq_dist(Q, R, (R**2).sum(1)), Q.shape[1])
 
 
+def argsort_rows(D: np.ndarray, tie: np.ndarray | None = None, upto: int | None = None) -> np.ndarray:
+    """The first ``upto`` (default: all) positions of each row of ``D`` in
+    (value, tie key) order, as a row-wise ``np.lexsort((tie, D))`` gives them.
+
+    ``tie`` holds non-negative integer keys broadcastable to D and distinct
+    within a row; by default it is the column position. One unstable
+    ``np.argsort`` orders the values; only the rows with equal values among
+    their first ``upto + 1`` sorted slots (a tie run that reaches slot
+    ``upto - 1``) can be out of tie order, and they are re-sorted at once by
+    one int64 key, the run index of the value times (largest tie key + 1)
+    plus the tie key.
+    """
+    order = np.argsort(D, axis=1)
+    upto = D.shape[1] if upto is None else min(upto, D.shape[1])
+    head = np.take_along_axis(D, order[:, : upto + 1], axis=1)
+    rows = np.flatnonzero((head[:, 1:] == head[:, :-1]).any(axis=1))
+    if len(rows):
+        o = order[rows]
+        v = np.take_along_axis(D[rows], o, axis=1)
+        run = np.zeros(o.shape, dtype=np.int64)
+        np.cumsum(v[:, 1:] != v[:, :-1], axis=1, out=run[:, 1:])
+        t = o if tie is None else np.take_along_axis(np.broadcast_to(tie, D.shape)[rows], o, axis=1)
+        key = run * (int(t.max()) + 1) + t
+        order[rows] = np.take_along_axis(o, np.argsort(key, axis=1), axis=1)
+    return order[:, :upto]
+
+
 def _positions(r_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Position in ``r_ids`` (unique) of each of ``ids``, -1 if absent."""
     ids = np.asarray(ids)
@@ -121,16 +151,26 @@ def _positions(r_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.where(r_ids[at] == ids, at, -1)
 
 
+def _ranks(ids: np.ndarray) -> np.ndarray:
+    """Rank of each of the unique ``ids`` in ascending order (0 .. n-1)."""
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[np.argsort(ids)] = np.arange(len(ids))
+    return rank
+
+
 def _knn(
-    Q: np.ndarray, R: np.ndarray, rn: np.ndarray, k: int, r_ids: np.ndarray, ex: np.ndarray | None
+    Q: np.ndarray, R: np.ndarray, rn: np.ndarray, k: int, rank: np.ndarray, ex: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`knn_numpy` for ``k <= n``, given R's squared norms ``rn`` and
-    the position ``ex`` (-1: none) of each query's excluded row.
+    """:func:`knn_numpy` for ``k <= n``, given R's squared norms ``rn``, the
+    :func:`_ranks` of r's ids and the position ``ex`` (-1: none) of each
+    query's excluded row.
 
     Every row's candidates are the entries whose squared distance S is at
     most tau = max(t, 0)(1 + 2^-20) + 2^-1000, where t is the k-th smallest
     S over the strided sample ``S[:, ::_SAMPLE_STRIDE]``; only they get a
-    Formula-1 distance and one (row, distance, id) lexsort ranks them.
+    Formula-1 distance. They are scattered into a (rows x most candidates)
+    matrix padded with +inf, which :func:`argsort_rows` ranks by
+    (distance, id rank).
     The candidates hold the whole (distance, id) top-k, ties included.
     Proof: D(s) = sqrt(max(s, 0) / |F|), as rounded, is non-decreasing in
     s. The sample holds k entries with S <= t, so the row's k-th smallest
@@ -150,15 +190,21 @@ def _knn(
         S[rows[hit], ex[hit]] = np.inf
     if S.shape[1] <= _SAMPLE_STRIDE * k:
         d = _formula1(S, Q.shape[1])
-        order = np.lexsort((np.broadcast_to(r_ids, d.shape), d), axis=1)[:, :k]
+        order = argsort_rows(d, rank, k)
         return order, np.take_along_axis(d, order, axis=1)
     t = np.partition(S[:, ::_SAMPLE_STRIDE], k - 1, axis=1)[:, k - 1]
     tau = np.maximum(t, 0.0) * (1.0 + 2.0**-20) + 2.0**-1000
-    qi, col = np.nonzero(S <= tau[:, None])
-    d = _formula1(S[qi, col], Q.shape[1])
-    srt = np.lexsort((r_ids[col], d, qi))
-    take = srt[np.searchsorted(qi, rows)[:, None] + np.arange(k)]
-    return col[take], d[take]
+    cand = S <= tau[:, None]
+    flat = np.flatnonzero(cand)
+    cnt = np.count_nonzero(cand, axis=1)
+    qi = np.repeat(rows, cnt)
+    slot = np.arange(len(flat)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    col = np.zeros((len(S), cnt.max(initial=k)), dtype=np.int64)
+    col[qi, slot] = flat - qi * S.shape[1]
+    d = np.full(col.shape, np.inf)
+    d[qi, slot] = _formula1(S.ravel()[flat], Q.shape[1])
+    order = argsort_rows(d, rank[col], k)
+    return np.take_along_axis(col, order, axis=1), np.take_along_axis(d, order, axis=1)
 
 
 def knn_numpy(
@@ -183,7 +229,7 @@ def knn_numpy(
     if r_ids is None:
         r_ids = np.arange(len(R))
     ex = None if exclude_ids is None else _positions(r_ids, exclude_ids)
-    return _knn(Q, R, (R**2).sum(1), min(k, len(R)), r_ids, ex)
+    return _knn(Q, R, (R**2).sum(1), min(k, len(R)), _ranks(r_ids), ex)
 
 
 @dataclass(frozen=True)
@@ -225,20 +271,25 @@ def knn_blocked(rel: Relation, X: np.ndarray, k: int, own_ids: np.ndarray | None
     """Positions of the k nearest tuples of r to each row of ``X``, nearest
     first, as :func:`knn_numpy` returns them, in KNN_BLOCK-row blocks, so
     at most KNN_BLOCK x n distances are held whatever the number of rows.
-    r's squared norms and the excluded positions are computed once per
-    call. ``own_ids`` (aligned with X) excludes each row's own tuple."""
+    r's squared norms, id ranks and the excluded positions are computed
+    once per call. ``own_ids`` (aligned with X) excludes each row's own tuple."""
     X = np.asarray(X, dtype=np.float64)
     k = min(k, rel.n)
-    rn = (rel.X**2).sum(1)
+    rn, rank = (rel.X**2).sum(1), _ranks(rel.ids)
     ex = None if own_ids is None else _positions(rel.ids, own_ids)
     out = np.empty((len(X), k), dtype=np.int64)
     for s in range(0, len(X), KNN_BLOCK):
         blk = slice(s, s + KNN_BLOCK)
-        out[blk], _ = _knn(X[blk], rel.X, rn, k, rel.ids, None if ex is None else ex[blk])
+        out[blk], _ = _knn(X[blk], rel.X, rn, k, rank, None if ex is None else ex[blk])
     return out
 
 
 def self_knn(rel: Relation, k: int) -> np.ndarray:
     """kNN of every tuple within r, excluding itself: IIM's validation
-    assignments (Algorithm 3) and ERACER's neighbor aggregates."""
-    return knn_blocked(rel, rel.X, min(k, rel.n - 1) if rel.n > 1 else 1, rel.ids)
+    assignments (Algorithm 3) and ERACER's neighbor aggregates.
+
+    A tuple is never its own neighbor, so k >= n is clamped to n - 1, and
+    a one-tuple r gets an empty (1, 0) array."""
+    if rel.n == 1:
+        return np.empty((1, 0), dtype=np.int64)
+    return knn_blocked(rel, rel.X, min(k, rel.n - 1), rel.ids)

@@ -145,6 +145,15 @@ def test_single_attribute_relation(spark):
     assert all(len(p) == 2 for p in got["phi"])
 
 
+def test_one_tuple_relation_learns_its_own_value(spark):
+    """n = 1: no neighbor to validate on, so l* = 1, the only grid point,
+    and the model is the tuple's own value (Section III-A2)."""
+    pdf, df, F = _rel_df(spark, n=1, p=2, seed=4)
+    got = adaptive_learn(spark, df, F, "A_y", k=10).toPandas()
+    assert got["l_star"].tolist() == [1]
+    assert list(got["phi"][0]) == [pdf["A_y"][0], 0.0, 0.0]
+
+
 @st.composite
 def _lattice_sweeps(draw):
     """Integer-lattice relations with duplicate tuples, so neighbor

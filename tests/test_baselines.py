@@ -269,6 +269,14 @@ class TestERACER:
         monkeypatch.setattr(nn, "KNN_BLOCK", 7)
         np.testing.assert_array_equal(_run(spark, "ERACER", linear_data), whole)
 
+    def test_one_tuple_relation_is_rejected(self, spark, linear_data):
+        """A one-tuple r has no neighbor to aggregate: fail, do not use the
+        tuple as its own neighbor."""
+        pdf, _, q_pdf, q, truth = linear_data
+        one = (pdf[:1], spark.createDataFrame(pdf[:1]), q_pdf, q, truth)
+        with pytest.raises(ValueError, match="r has 1"):
+            _run(spark, "ERACER", one)
+
 
 class TestRegistry:
     def test_fourteen_methods(self):

@@ -91,6 +91,15 @@ class TestKnnNumpy:
         assert idx.shape == (1, 2)
 
 
+def test_self_knn_never_lists_a_tuple_as_its_own_neighbor():
+    """k >= n is clamped to n - 1; a one-tuple r has no neighbor at all."""
+    one = nn.Relation(ids=np.array([5]), X=np.zeros((1, 2)), y=np.zeros(1))
+    assert nn.self_knn(one, 10).shape == (1, 0)
+    rel = nn.Relation(ids=np.array([2, 4, 6]), X=np.zeros((3, 2)), y=np.zeros(3))
+    got = nn.self_knn(rel, 10)
+    assert got.tolist() == [[1, 2], [0, 2], [0, 1]]
+
+
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_sql_join_matches_numpy(spark, small_rel, queries, k):
     """Both engines return identical neighbor ids in identical order."""
@@ -280,3 +289,32 @@ def test_knn_numpy_bound_keeps_near_ties(data):
     want = _knn_rowwise(Q, R, min(k, len(R)), r_ids, exclude)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
+
+
+@st.composite
+def _tied_rows(draw):
+    """Rows with long runs of exact ties (a few lattice levels), -inf/+inf
+    padding, -0.0 beside 0.0 and some distinct values; no tie key, one
+    shared or one per row, unsorted; ``upto`` from 1 to the row width."""
+    w = draw(st.integers(1, 40))
+    level = st.sampled_from([-np.inf, -0.0, 0.0, 1.0, 2.0, 3.0, np.inf])
+    cell = level | st.floats(-5, 5, allow_nan=False)
+    D = np.array(draw(st.lists(st.lists(cell, min_size=w, max_size=w), min_size=1, max_size=6)))
+    perm = st.permutations(range(0, 3 * w, 3))
+    tie = draw(st.sampled_from(["none", "shared", "rows"]))
+    if tie == "shared":
+        tie = np.array(draw(perm), dtype=np.int64)
+    elif tie == "rows":
+        tie = np.array([draw(perm) for _ in D], dtype=np.int64)
+    else:
+        tie = None
+    return D, tie, draw(st.none() | st.integers(1, w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_tied_rows())
+def test_argsort_rows_matches_lexsort(data):
+    D, tie, upto = data
+    keys = np.broadcast_to(np.arange(D.shape[1]) if tie is None else tie, D.shape)
+    want = np.array([np.lexsort((t, row))[:upto] for t, row in zip(keys, D)])
+    np.testing.assert_array_equal(nn.argsort_rows(D, tie, upto), want)
