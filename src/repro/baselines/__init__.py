@@ -1,16 +1,18 @@
 """Baseline imputation methods (Table II) and the method registry.
 
-Every method maps ``(spark, r, incomplete, F, A_x, **params)`` to a
-DataFrame ``(row_id, imputed)``. ``METHODS`` is the ordered registry
+Every method maps ``(spark, r, incomplete, F, A_x, **params)`` (r and the
+incomplete tuples as Spark DataFrames) to a pandas frame of exactly the
+columns ``row_id, imputed``, one row per incomplete tuple in ascending id
+order. ``METHODS`` is the ordered registry
 the Table V/VI/VII harnesses iterate over (IIM first, like the paper's
 column order); ``requires_multivariate`` marks methods the paper
 reports as "-" on the 2-attribute SN dataset, and ``k`` is the default
 neighbor count of the methods that take one.
 
-Mean and GLR are Catalyst plans. Every other method fits on r collected
-to the driver and imputes there too, each incomplete tuple on its own,
-through :func:`repro.core.iim.impute_on_driver`, so its output does not
-depend on partitioning.
+Mean and GLR are Catalyst plans ending in one ``toPandas()``. Every other
+method fits on r collected to the driver and imputes there too, each
+incomplete tuple on its own, through :func:`repro.core.iim.impute_on_driver`,
+so its output does not depend on partitioning and needs no Spark job back.
 """
 from __future__ import annotations
 

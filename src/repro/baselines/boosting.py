@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core.iim import impute_on_driver
@@ -27,7 +28,7 @@ def xgb_impute(
     max_depth: int = 3,
     learning_rate: float = 0.3,
     seed: int = 0,
-) -> DataFrame:
+) -> pd.DataFrame:
     rel = collect_relation(r, F, A_x)
     model = GBTRegressor(
         n_estimators=n_estimators,
@@ -35,4 +36,4 @@ def xgb_impute(
         learning_rate=learning_rate,
         seed=seed,
     ).fit(rel.X, rel.y)
-    return impute_on_driver(spark, incomplete, F, lambda _, Q: model.predict(Q))
+    return impute_on_driver(incomplete, F, lambda _, Q: model.predict(Q))

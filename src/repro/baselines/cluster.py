@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core.iim import impute_on_driver
@@ -28,14 +29,14 @@ def ifc_impute(
     c: int = 5,
     fuzz: float = 2.0,
     seed: int = 0,
-) -> DataFrame:
+) -> pd.DataFrame:
     """Iterative fuzzy clustering: impute with fuzzy-membership-weighted
     cluster means of A_x."""
     rel = collect_relation(r, F, A_x)
     fcm = FuzzyCMeans(min(c, rel.n), fuzz=fuzz, seed=seed).fit(rel.X)
     U = fcm.memberships(rel.X) ** fuzz  # (n, c)
     cluster_y = (U.T @ rel.y) / np.maximum(U.sum(axis=0), 1e-12)
-    return impute_on_driver(spark, incomplete, F, lambda _, Q: fcm.memberships(Q) @ cluster_y)
+    return impute_on_driver(incomplete, F, lambda _, Q: fcm.memberships(Q) @ cluster_y)
 
 
 def gmm_impute(
@@ -47,7 +48,7 @@ def gmm_impute(
     *,
     c: int = 5,
     seed: int = 0,
-) -> DataFrame:
+) -> pd.DataFrame:
     """Gaussian-mixture cluster average: responsibilities on F weight the
     per-component means of A_x (component means of A_x are computed with
     the same responsibilities over r)."""
@@ -55,4 +56,4 @@ def gmm_impute(
     gm = GaussianMixture(min(c, rel.n), seed=seed).fit(rel.X)
     R = gm.responsibilities(rel.X)
     comp_y = (R.T @ rel.y) / np.maximum(R.sum(axis=0), 1e-12)
-    return impute_on_driver(spark, incomplete, F, lambda _, Q: gm.responsibilities(Q) @ comp_y)
+    return impute_on_driver(incomplete, F, lambda _, Q: gm.responsibilities(Q) @ comp_y)

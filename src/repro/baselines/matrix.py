@@ -9,10 +9,11 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core.iim import impute_on_driver
-from ..core.nn import collect_relation, knn_numpy
+from ..core.nn import Relation, collect_relation, knn_blocked
 from ..ml.svd_impute import SVDImputer
 
 
@@ -24,14 +25,14 @@ def svd_impute(
     A_x: str,
     *,
     q: int | None = None,
-) -> DataFrame:
+) -> pd.DataFrame:
     """SVDimpute: project onto the q most significant eigengenes of the
     complete relation and reconstruct the missing coordinate."""
     rel = collect_relation(r, F, A_x)
     p = rel.X.shape[1]
     M = np.hstack([rel.X, rel.y[:, None]])  # attribute order: F..., A_x
     imp = SVDImputer(q).fit(M)
-    return impute_on_driver(spark, incomplete, F, lambda _, Q: imp.impute(Q, np.arange(p), p))
+    return impute_on_driver(incomplete, F, lambda _, Q: imp.impute(Q, np.arange(p), p))
 
 
 def ills_impute(
@@ -43,23 +44,22 @@ def ills_impute(
     *,
     k: int = 10,
     iterations: int = 3,
-) -> DataFrame:
+) -> pd.DataFrame:
     """Iterated Local Least Squares: express t_x[F] as a least-squares
     combination of its k neighbors' F-vectors and apply the same
     combination to their A_x values; iterate with distances refined over
     the full schema using the current imputations.
     """
     rel = collect_relation(r, F, A_x)
-    kk = min(k, rel.n)
-    full_R = np.hstack([rel.X, rel.y[:, None]])
+    full = Relation(rel.ids, np.hstack([rel.X, rel.y[:, None]]), rel.y)
 
     def predict(_, Q: np.ndarray) -> np.ndarray:
         est = None
         for _ in range(max(1, iterations)):
             if est is None:
-                idx, _ = knn_numpy(Q, rel.X, kk, r_ids=rel.ids)
+                idx, _ = knn_blocked(rel, Q, k)
             else:  # refine neighbors using the imputed full tuples
-                idx, _ = knn_numpy(np.hstack([Q, est[:, None]]), full_R, kk, r_ids=rel.ids)
+                idx, _ = knn_blocked(full, np.hstack([Q, est[:, None]]), k)
             est = np.empty(len(Q))
             for qi in range(len(Q)):
                 N = rel.X[idx[qi]]  # (k, |F|)
@@ -67,4 +67,4 @@ def ills_impute(
                 est[qi] = float(w @ rel.y[idx[qi]])
         return est
 
-    return impute_on_driver(spark, incomplete, F, predict)
+    return impute_on_driver(incomplete, F, predict)

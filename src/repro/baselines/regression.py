@@ -4,18 +4,19 @@ ERACER [25], PMM [19] (mice.pmm).
 GLR is fitted as a genuine distributed Catalyst plan: the normal-
 equation sufficient statistics U = sum(x x^T), V = sum(x y) are computed
 with DataFrame aggregations, solved on the driver, and the prediction
-(1, t_x[F]) phi is a pure column expression — no data is collected.
+(1, t_x[F]) phi is a column expression; only the imputations are collected.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F_
 
 from ..core import linalg
-from ..core.iim import impute_on_driver
-from ..core.nn import ID, KNN_BLOCK, argsort_rows, collect_relation, knn_blocked, knn_numpy, self_knn
+from ..core.iim import collect_imputed, impute_on_driver
+from ..core.nn import ID, KNN_BLOCK, argsort_rows, collect_relation, knn_blocked, self_knn
 
 
 def glr_fit(
@@ -61,10 +62,10 @@ def glr_impute(
     A_x: str,
     *,
     alpha: float = linalg.DEFAULT_ALPHA,
-) -> DataFrame:
+) -> pd.DataFrame:
     """Global linear (ridge) regression imputation (Formula 4)."""
     phi = glr_fit(r, F, A_x, alpha=alpha)
-    return incomplete.select(ID, glr_predict_expr(phi, F).alias("imputed"))
+    return collect_imputed(incomplete.select(ID, glr_predict_expr(phi, F).alias("imputed")))
 
 
 def loess_impute(
@@ -76,31 +77,27 @@ def loess_impute(
     *,
     span: float = 0.3,
     alpha: float = linalg.DEFAULT_ALPHA,
-) -> DataFrame:
+) -> pd.DataFrame:
     """Local regression: tricube-weighted linear fit over the span*n
-    nearest neighbors of each incomplete tuple, evaluated at t_x. The
-    neighbors are ranked KNN_BLOCK queries at a time, so at most
-    KNN_BLOCK x n distances are held."""
+    nearest neighbors of each incomplete tuple, evaluated at t_x."""
     rel = collect_relation(r, F, A_x)
     n_loc = min(rel.n, max(len(F) + 2, int(np.ceil(span * rel.n))))
 
     def predict(_, Q: np.ndarray) -> np.ndarray:
         out = np.empty(len(Q))
-        for s in range(0, len(Q), KNN_BLOCK):
-            idx, dist = knn_numpy(Q[s:s + KNN_BLOCK], rel.X, n_loc, r_ids=rel.ids)
-            for qi, nb, d in zip(range(s, len(Q)), idx, dist):
-                dmax = d[-1] if d[-1] > 0 else 1.0
-                w = (1.0 - np.minimum(d / dmax, 1.0) ** 3) ** 3
-                w = np.maximum(w, 1e-9)
-                Xd = linalg.design(rel.X[nb])
-                W = w[:, None]
-                U = Xd.T @ (W * Xd)
-                V = Xd.T @ (w * rel.y[nb])
-                phi = linalg.ridge_solve(U, V, alpha)
-                out[qi] = (linalg.design(Q[qi : qi + 1]) @ phi)[0]
+        for qi, (nb, d) in enumerate(zip(*knn_blocked(rel, Q, n_loc))):
+            dmax = d[-1] if d[-1] > 0 else 1.0
+            w = (1.0 - np.minimum(d / dmax, 1.0) ** 3) ** 3
+            w = np.maximum(w, 1e-9)
+            Xd = linalg.design(rel.X[nb])
+            W = w[:, None]
+            U = Xd.T @ (W * Xd)
+            V = Xd.T @ (w * rel.y[nb])
+            phi = linalg.ridge_solve(U, V, alpha)
+            out[qi] = (linalg.design(Q[qi : qi + 1]) @ phi)[0]
         return out
 
-    return impute_on_driver(spark, incomplete, F, predict)
+    return impute_on_driver(incomplete, F, predict)
 
 
 def _bayes_draw(rel, alpha: float, seed: int) -> tuple[np.ndarray, float]:
@@ -128,7 +125,7 @@ def blr_impute(
     *,
     alpha: float = linalg.DEFAULT_ALPHA,
     seed: int = 0,
-) -> DataFrame:
+) -> pd.DataFrame:
     """Bayesian linear regression (mice.norm): posterior-draw parameters,
     predict, add a residual-scale noise draw per imputed value.
 
@@ -144,7 +141,7 @@ def blr_impute(
         )
         return linalg.design(Q) @ beta_star + sigma * noise
 
-    return impute_on_driver(spark, incomplete, F, predict)
+    return impute_on_driver(incomplete, F, predict)
 
 
 def pmm_impute(
@@ -157,7 +154,7 @@ def pmm_impute(
     donors: int = 5,
     alpha: float = linalg.DEFAULT_ALPHA,
     seed: int = 0,
-) -> DataFrame:
+) -> pd.DataFrame:
     """Predictive mean matching (mice.pmm): predict y-hat for queries with
     a posterior-draw regression and for the complete tuples with the OLS
     fit; impute a randomly chosen *observed* value among the ``donors``
@@ -183,7 +180,7 @@ def pmm_impute(
                 out[qi] = rel.y[int(rng.choice(c))]
         return out
 
-    return impute_on_driver(spark, incomplete, F, predict)
+    return impute_on_driver(incomplete, F, predict)
 
 
 def eracer_impute(
@@ -195,7 +192,7 @@ def eracer_impute(
     *,
     k: int = 10,
     alpha: float = linalg.DEFAULT_ALPHA,
-) -> DataFrame:
+) -> pd.DataFrame:
     """ERACER-style relational regression: A_x modeled linearly from the
     tuple's own F *and* its neighbors' aggregated attributes (means of
     F and of A_x over the k nearest complete neighbors) — the g+h
@@ -212,8 +209,8 @@ def eracer_impute(
     phi = linalg.ridge_fit(feats, rel.y, alpha)
 
     def predict(_, Q: np.ndarray) -> np.ndarray:
-        qidx = knn_blocked(rel, Q, idx.shape[1])
+        qidx = knn_blocked(rel, Q, idx.shape[1])[0]
         qf = np.hstack([Q, rel.X[qidx].mean(axis=1), rel.y[qidx].mean(axis=1)[:, None]])
         return linalg.design(qf) @ phi
 
-    return impute_on_driver(spark, incomplete, F, predict)
+    return impute_on_driver(incomplete, F, predict)

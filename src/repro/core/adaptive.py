@@ -202,7 +202,7 @@ def adaptive_models(
     else:  # one candidate: nothing to validate, so no self-kNN
         grid = np.array([min(l, rel.n)], dtype=np.int64)
         val = np.zeros(rel.n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    query_nn = None if queries is None else knn_blocked(rel, queries, k)
+    query_nn = None if queries is None else knn_blocked(rel, queries, k)[0]
     positions = np.arange(rel.n) if query_nn is None else np.unique(query_nn)
     return rel, _sweep(spark, b, positions, grid, val, alpha, incremental), query_nn
 

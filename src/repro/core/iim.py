@@ -22,7 +22,7 @@ Both phases come in two engines:
   its one-point grid): r is collected and broadcast once and executors
   sweep the candidate models. Imputation runs on the driver through
   :func:`impute_on_driver`, the tail the baselines share: the incomplete
-  tuples' kNN in blocks, then the vote.
+  tuples' kNN in blocks, then the vote, returned as a pandas frame.
 """
 from __future__ import annotations
 
@@ -142,14 +142,24 @@ def impute(
 ) -> DataFrame:
     """Algorithm 2: impute ``incomplete[A_x]`` from the individual models.
 
-    Returns ``(row_id, imputed)`` with one row per incomplete tuple.
+    Returns a Spark DataFrame ``(row_id, imputed)``, one row per incomplete
+    tuple: unlike :func:`iim_impute`, which returns the driver tail's pandas
+    frame, it keeps a DataFrame because ``iimbench/`` calls ``.toPandas()`` on it.
     """
     if engine == "sql":
-        return _impute_sql(spark, r, incomplete, models, F, k, weighting)
-    return _impute_broadcast(spark, r, incomplete, models, F, A_x, k, weighting)
+        return _impute_sql(r, incomplete, models, F, k, weighting)
+    rel = collect_relation(r, F, A_x)
+    mp = models.select(ID, "phi").toPandas().sort_values(ID)
+    if not np.array_equal(mp[ID].to_numpy(np.int64), rel.ids):
+        raise ValueError("models must cover exactly the complete relation r")
+    Phi = np.array(mp["phi"].tolist(), dtype=np.float64)  # aligned with rel rows
+    imputed = impute_on_driver(
+        incomplete, F, lambda _, Q: _vote(Q, Phi, knn_blocked(rel, Q, k)[0], weighting)
+    )
+    return spark.createDataFrame(imputed, IMPUTED_SCHEMA)
 
 
-def _impute_sql(spark, r, incomplete, models, F, k, weighting):
+def _impute_sql(r, incomplete, models, F, k, weighting):
     nn = knn_join(incomplete, r, F, k)
     joined = nn.join(models.withColumnRenamed(ID, "n_id"), "n_id").join(
         incomplete.select(F_.col(ID).alias("q_id"), *[F_.col(a) for a in F]), "q_id"
@@ -167,35 +177,32 @@ def _impute_sql(spark, r, incomplete, models, F, k, weighting):
     return joined.groupBy("q_id").applyInPandas(agg, IMPUTED_SCHEMA)
 
 
-def _impute_broadcast(spark, r, incomplete, models, F, A_x, k, weighting):
-    rel = collect_relation(r, F, A_x)
-    mp = models.select(ID, "phi").toPandas().sort_values(ID)
-    if not np.array_equal(mp[ID].to_numpy(np.int64), rel.ids):
-        raise ValueError("models must cover exactly the complete relation r")
-    Phi = np.array(mp["phi"].tolist(), dtype=np.float64)  # aligned with rel rows
-    return impute_on_driver(
-        spark, incomplete, F, lambda _, Q: _vote(Q, Phi, knn_blocked(rel, Q, k), weighting)
-    )
-
-
 def impute_on_driver(
-    spark: SparkSession,
     incomplete: DataFrame,
     F: Sequence[str],
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> DataFrame:
+) -> pd.DataFrame:
     """The imputation tail of the broadcast engine and of the baselines.
 
     Collects ``(row_id, F)`` of the incomplete tuples in id order, computes
     ``fn(ids, Q)`` on the driver (Q: their F values, one row per id) and
-    returns ``(row_id, imputed)``. Each tuple is imputed on its own
-    (Algorithm 2), so the result does not depend on how ``incomplete`` is
-    partitioned.
+    returns the pandas frame ``(row_id, imputed)`` in ascending id order.
+    Each tuple is imputed on its own (Algorithm 2), so the result does not
+    depend on how ``incomplete`` is partitioned. Raises ValueError on
+    NaN/inf F values or repeated row ids.
     """
     qp = incomplete.select(ID, *F).toPandas().sort_values(ID)
-    ids = qp[ID].to_numpy(np.int64)
-    vals = np.asarray(fn(ids, qp[list(F)].to_numpy(np.float64)), dtype=np.float64)
-    return spark.createDataFrame(pd.DataFrame({ID: ids, "imputed": vals}), IMPUTED_SCHEMA)
+    ids, Q = qp[ID].to_numpy(np.int64), qp[list(F)].to_numpy(np.float64)
+    if not np.isfinite(Q).all():
+        raise ValueError(f"NaN or infinite values in the incomplete tuples' {list(F)}")
+    if (np.diff(ids) == 0).any():
+        raise ValueError(f"duplicate {ID} values in the incomplete tuples")
+    return pd.DataFrame({ID: ids, "imputed": np.asarray(fn(ids, Q), dtype=np.float64)})
+
+
+def collect_imputed(df: DataFrame) -> pd.DataFrame:
+    """A Spark ``(row_id, imputed)`` result as the methods' pandas frame, in id order."""
+    return df.select(ID, "imputed").toPandas().sort_values(ID, ignore_index=True)
 
 
 def _vote(Q: np.ndarray, Phi: np.ndarray, nn: np.ndarray, weighting: str) -> np.ndarray:
@@ -224,7 +231,7 @@ def iim_impute(
     alpha: float = linalg.DEFAULT_ALPHA,
     weighting: str = "vote",
     engine: str = "broadcast",
-) -> DataFrame:
+) -> pd.DataFrame:
     """One-shot IIM: learn (fixed-l or adaptive) then impute.
 
     ``l`` set -> fixed-l Algorithm 1; otherwise adaptive Algorithm 3
@@ -247,7 +254,7 @@ def iim_impute(
             models = adaptive_learn(spark, r, F, A_x, k=k, h=h, l_max=l_max, alpha=alpha)
         else:
             models = learn_models(spark, r, F, A_x, l, alpha=alpha, engine=engine)
-        return impute(spark, r, incomplete, models, F, A_x, k, weighting=weighting, engine=engine)
+        return collect_imputed(_impute_sql(r, incomplete, models, F, k, weighting))
 
     def learn_and_vote(_, Q: np.ndarray) -> np.ndarray:
         rel, models, nn = adaptive_models(
@@ -260,4 +267,4 @@ def iim_impute(
         ).reshape(len(mp), len(F) + 1)
         return _vote(Q, Phi, nn, weighting)
 
-    return impute_on_driver(spark, incomplete, F, learn_and_vote)
+    return impute_on_driver(incomplete, F, learn_and_vote)

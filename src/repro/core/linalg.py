@@ -43,11 +43,6 @@ def ridge_fit(X: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA) -> np.
     return ridge_solve(Xd.T @ Xd, Xd.T @ np.asarray(y, dtype=np.float64), alpha)
 
 
-def predict(X: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Evaluate (1, X) @ phi (Formula 4/9) for rows of X."""
-    return design(X) @ np.asarray(phi, dtype=np.float64)
-
-
 def single_neighbor_phi(y_self: float, m: int) -> np.ndarray:
     """The l=1 rule (Section III-A2): phi[C] = t_i[A_m], slopes = 0."""
     phi = np.zeros(m, dtype=np.float64)

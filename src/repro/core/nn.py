@@ -9,11 +9,11 @@ the paper's examples):
   the (query, neighbor, rank, distance) pairs. This is the
   "nearest-neighbor lookup via joins" path; quadratic, used at test
   scale and oracle-checked.
-* :func:`knn_numpy` on a collected :class:`Relation` — vectorized numpy kNN
-  against a collected copy of r, used on the Spark driver by the scalable
-  engines: in KNN_BLOCK-row blocks by :func:`knn_blocked` (IIM, kNN, kNNE
-  and ERACER) and by LOESS, which reads the distances, in one call by ILLS.
-  It is exact but ranks only the entries that can be neighbors: a
+* :func:`knn_blocked` on a collected :class:`Relation` — vectorized numpy
+  kNN against a collected copy of r in KNN_BLOCK-row blocks, the one entry
+  point of the scalable engines on the Spark driver (IIM, kNN, kNNE,
+  ERACER, LOESS and ILLS); :func:`knn_numpy` is its one-call form on bare
+  matrices. It is exact but ranks only the entries that can be neighbors: a
   row's k-th smallest squared distance over a strided sample of the
   columns bounds its true k-th from above, and only the entries within
   that bound (plus a rounding margin) get a Formula-1 distance and a
@@ -267,21 +267,23 @@ def collect_relation(df: DataFrame, F: Sequence[str], A_x: str, id_col: str = ID
     return rel
 
 
-def knn_blocked(rel: Relation, X: np.ndarray, k: int, own_ids: np.ndarray | None = None) -> np.ndarray:
-    """Positions of the k nearest tuples of r to each row of ``X``, nearest
-    first, as :func:`knn_numpy` returns them, in KNN_BLOCK-row blocks, so
-    at most KNN_BLOCK x n distances are held whatever the number of rows.
-    r's squared norms, id ranks and the excluded positions are computed
-    once per call. ``own_ids`` (aligned with X) excludes each row's own tuple."""
+def knn_blocked(
+    rel: Relation, X: np.ndarray, k: int, own_ids: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and distances of the k nearest tuples of r to each row of
+    ``X``, nearest first, as :func:`knn_numpy` returns them, in KNN_BLOCK-row
+    blocks, so at most KNN_BLOCK x n distances are held at once. r's squared
+    norms, id ranks and the excluded positions are computed once per call.
+    ``own_ids`` (aligned with X) excludes each row's own tuple."""
     X = np.asarray(X, dtype=np.float64)
     k = min(k, rel.n)
     rn, rank = (rel.X**2).sum(1), _ranks(rel.ids)
     ex = None if own_ids is None else _positions(rel.ids, own_ids)
-    out = np.empty((len(X), k), dtype=np.int64)
+    pos, dist = np.empty((len(X), k), dtype=np.int64), np.empty((len(X), k))
     for s in range(0, len(X), KNN_BLOCK):
         blk = slice(s, s + KNN_BLOCK)
-        out[blk], _ = _knn(X[blk], rel.X, rn, k, rank, None if ex is None else ex[blk])
-    return out
+        pos[blk], dist[blk] = _knn(X[blk], rel.X, rn, k, rank, None if ex is None else ex[blk])
+    return pos, dist
 
 
 def self_knn(rel: Relation, k: int) -> np.ndarray:
@@ -292,4 +294,4 @@ def self_knn(rel: Relation, k: int) -> np.ndarray:
     a one-tuple r gets an empty (1, 0) array."""
     if rel.n == 1:
         return np.empty((1, 0), dtype=np.int64)
-    return knn_blocked(rel, rel.X, min(k, rel.n - 1), rel.ids)
+    return knn_blocked(rel, rel.X, min(k, rel.n - 1), rel.ids)[0]

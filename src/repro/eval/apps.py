@@ -60,9 +60,7 @@ def fill_masked(
             if spec.requires_multivariate and len(F) < 2:
                 return None
             queries = miss[[ID] + F].fillna(means[F].to_dict())
-            out = spec.fn(
-                spark, r_df, spark.createDataFrame(queries), F, a, **params
-            ).toPandas()
+            out = spec.fn(spark, r_df, spark.createDataFrame(queries), F, a, **params)
             vals = dict(zip(out[ID], out["imputed"]))
             idx = filled[ID].isin(vals)
             filled.loc[idx, a] = filled.loc[idx, ID].map(vals)

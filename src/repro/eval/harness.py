@@ -16,7 +16,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from ..baselines import DEFAULT_K, METHODS
+from ..baselines import DEFAULT_K, METHODS  # noqa: F401  DEFAULT_K: re-exported for iimbench
 from ..datasets import attributes, generate, inject_missing
 from ..datasets.generators import ID
 from . import metrics
@@ -106,9 +106,7 @@ def impute_with(
         if spec.requires_multivariate and len(g.F) < 2:
             return None
         out = spec.fn(spark, exp.complete, g.incomplete, g.F, g.A_x, **params)
-        pdf = out.toPandas()
-        pdf["attr"] = g.A_x
-        frames.append(pdf[[ID, "attr", "imputed"]])
+        frames.append(out.assign(attr=g.A_x)[[ID, "attr", "imputed"]])
     return pd.concat(frames, ignore_index=True)
 
 
@@ -147,14 +145,11 @@ def dataset_row(
             params = METHODS[m].params((method_params or {}).get(m))
             results[m] = impute_with(spark, exp, m, **params)
         # R^2_S from kNN imputations, R^2_H from GLR imputations (VI-A2)
-        knn_res = results.get("kNN")
-        if knn_res is None:
-            knn_res = impute_with(spark, exp, "kNN", k=DEFAULT_K)
-        glr_res = results.get("GLR")
-        if glr_res is None:
-            glr_res = impute_with(spark, exp, "GLR")
-        row["R2_S"] = round(_r2(exp, knn_res), 2)
-        row["R2_H"] = round(_r2(exp, glr_res), 2)
+        for m in ("kNN", "GLR"):
+            if m not in results:
+                results[m] = impute_with(spark, exp, m, **METHODS[m].params())
+        row["R2_S"] = round(_r2(exp, results["kNN"]), 2)
+        row["R2_H"] = round(_r2(exp, results["GLR"]), 2)
         for m in methods:
             row[m] = round(score(exp, results[m]), 4) if results[m] is not None else "-"
     finally:

@@ -56,8 +56,8 @@ class GaussianMixture:
         self.means_ = np.stack(
             [X[lab == ci].mean(0) if (lab == ci).any() else X.mean(0) for ci in range(self.c)]
         )
-        base = np.cov(X.T).reshape(p, p) + self.reg_covar * np.eye(p)
-        self.covs_ = np.stack([base.copy() for _ in range(self.c)])
+        base = np.cov(X.T).reshape(p, p) if n > 1 else np.zeros((p, p))  # np.cov(1 row) is NaN
+        self.covs_ = np.stack([base + self.reg_covar * np.eye(p) for _ in range(self.c)])
         prev_ll = -np.inf
         for _ in range(self.max_iter):
             lp = self._log_prob(X)

@@ -109,10 +109,7 @@ def test_adaptive_beats_bad_fixed_l(spark):
     q = spark.createDataFrame(truth[["row_id", "A1"]])
 
     def rms_for(**kw):
-        got = (
-            iim.iim_impute(spark, r, q, ["A1"], "A_y", k=5, **kw)
-            .toPandas().set_index("row_id")
-        )
+        got = iim.iim_impute(spark, r, q, ["A1"], "A_y", k=5, **kw).set_index("row_id")
         e = got.loc[truth["row_id"], "imputed"].to_numpy() - truth["A_y"].to_numpy()
         return float(np.sqrt((e**2).mean()))
 

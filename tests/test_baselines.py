@@ -38,11 +38,12 @@ def linear_data(spark):
 
 def _run(spark, name, data, **params):
     pdf, r, q_pdf, q, _ = data
-    out = METHODS[name].fn(spark, r, q, ["A1", "A2"], "A3", **params)
-    return out.toPandas().sort_values("row_id")["imputed"].to_numpy()
+    return METHODS[name].fn(spark, r, q, ["A1", "A2"], "A3", **params)["imputed"].to_numpy()
 
 
 ALL = list(METHODS)
+#: The methods that impute on the driver through ``impute_on_driver``.
+DRIVER_TAIL = [m for m in ALL if m not in ("Mean", "GLR")]
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -65,21 +66,72 @@ def test_every_method_is_invariant_to_partitioning(spark, linear_data, name):
     the queries in one partition, or in seven with the query rows
     reversed, impute the same values. Mean and GLR aggregate with Spark's
     sum/avg, which add the partitions' partial sums in partition order, so
-    they agree to rounding only."""
+    they agree to rounding only. Either way the result is a pandas frame of
+    exactly (row_id, imputed), one row per query in ascending id order."""
     pdf, _, q_pdf, _, _ = linear_data
 
     def run(parts, queries):
         r = spark.createDataFrame(pdf).repartition(parts)
         q = spark.createDataFrame(queries).repartition(parts)
         out = METHODS[name].fn(spark, r, q, ["A1", "A2"], "A3", **METHODS[name].params())
-        return out.toPandas().sort_values("row_id")
+        assert isinstance(out, pd.DataFrame)
+        assert list(out.columns) == ["row_id", "imputed"]
+        np.testing.assert_array_equal(out["row_id"], np.sort(q_pdf["row_id"]))
+        return out
 
     one, seven = run(1, q_pdf), run(7, q_pdf.iloc[::-1])
-    np.testing.assert_array_equal(seven["row_id"], one["row_id"])
     if name in ("Mean", "GLR"):
         np.testing.assert_allclose(seven["imputed"], one["imputed"], rtol=1e-12)
     else:
         np.testing.assert_array_equal(seven["imputed"], one["imputed"])
+
+
+@pytest.mark.parametrize("name", DRIVER_TAIL)
+def test_driver_tail_rejects_bad_queries(spark, linear_data, name):
+    """A NaN or infinite F value, or a repeated row_id, among the incomplete
+    tuples fails loudly instead of imputing garbage (a NaN query used to
+    get the first tuples of r as its neighbors)."""
+    _, r, q_pdf, _, _ = linear_data
+    bad = [
+        ("NaN or infinite", q_pdf.assign(A1=q_pdf["A1"].where(q_pdf.index != 3, np.nan))),
+        ("NaN or infinite", q_pdf.assign(A2=q_pdf["A2"].where(q_pdf.index != 0, -np.inf))),
+        ("duplicate row_id", q_pdf.assign(row_id=q_pdf["row_id"].where(q_pdf.index != 1, 500))),
+    ]
+    for match, q in bad:
+        with pytest.raises(ValueError, match=match):
+            METHODS[name].fn(
+                spark, r, spark.createDataFrame(q), ["A1", "A2"], "A3", **METHODS[name].params()
+            )
+
+
+#: Degenerate complete relations, cut from the linear data.
+DEGENERATE = {
+    "n=1": lambda pdf: pdf[:1],
+    "n=2": lambda pdf: pdf[:2],
+    "constant column": lambda pdf: pdf.assign(A1=1.0),
+    "duplicate tuples": lambda pdf: pdf.iloc[[0] * 12].assign(row_id=np.arange(12, dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("case", list(DEGENERATE))
+@pytest.mark.parametrize("name", ALL)
+def test_degenerate_relation_imputes_finite_values_or_fails(spark, linear_data, name, case):
+    """Every method on a degenerate r returns finite imputations or raises
+    ValueError: never a silent NaN."""
+    pdf, _, q_pdf, q, _ = linear_data
+    r = spark.createDataFrame(DEGENERATE[case](pdf))
+    try:
+        out = METHODS[name].fn(spark, r, q, ["A1", "A2"], "A3", **METHODS[name].params())
+    except ValueError:
+        return
+    assert len(out) == len(q_pdf)
+    assert np.isfinite(out["imputed"]).all()
+
+
+def test_gmm_on_one_tuple_imputes_its_value(spark, linear_data):
+    pdf, _, _, q, _ = linear_data
+    got = METHODS["GMM"].fn(spark, spark.createDataFrame(pdf[:1]), q, ["A1", "A2"], "A3")
+    np.testing.assert_allclose(got["imputed"], pdf["A3"].iloc[0])
 
 
 @pytest.mark.parametrize(
@@ -160,8 +212,8 @@ class TestKNNE:
         q = spark.createDataFrame(
             pd.DataFrame({"row_id": [99, 100], "A1": [0.3, -0.7]})
         )
-        a = METHODS["kNNE"].fn(spark, r, q, ["A1"], "A2", k=4).toPandas()
-        b = METHODS["kNN"].fn(spark, r, q, ["A1"], "A2", k=4).toPandas()
+        a = METHODS["kNNE"].fn(spark, r, q, ["A1"], "A2", k=4)
+        b = METHODS["kNN"].fn(spark, r, q, ["A1"], "A2", k=4)
         j = a.merge(b, on="row_id", suffixes=("_e", "_k"))
         np.testing.assert_allclose(j["imputed_e"], j["imputed_k"], atol=1e-9)
 
@@ -224,10 +276,7 @@ class TestClusterMethods:
     @pytest.mark.parametrize("name", ["IFC", "GMM"])
     def test_imputes_cluster_average(self, spark, clustered, name):
         pdf, r, q_pdf, q = clustered
-        out = (
-            METHODS[name].fn(spark, r, q, ["A1", "A2"], "A3", c=2)
-            .toPandas().sort_values("row_id")
-        )
+        out = METHODS[name].fn(spark, r, q, ["A1", "A2"], "A3", c=2)
         np.testing.assert_allclose(
             out["imputed"].to_numpy(), [5.0, 50.0], atol=1.5
         )

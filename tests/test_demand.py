@@ -38,7 +38,7 @@ def test_demand_driven_equals_full_learning(spark, name):
     exp = prepare_experiment(spark, name, n=SCALES["tiny"][name], frac=0.05, seed=0)
     try:
         for g in exp.groups:
-            got = _sorted(iim.iim_impute(spark, exp.complete, g.incomplete, g.F, g.A_x, k=K))
+            got = iim.iim_impute(spark, exp.complete, g.incomplete, g.F, g.A_x, k=K)
             want = _learn_then_impute(spark, exp.complete, g.incomplete, g.F, g.A_x, K)
             _assert_same(got, want)
     finally:
@@ -73,7 +73,7 @@ def test_demand_driven_equals_full_learning_property(spark, data):
     qpdf = pd.DataFrame(Q, columns=F)
     qpdf.insert(0, ID, np.arange(100, 100 + len(Q), dtype=np.int64))
     r, q = spark.createDataFrame(rpdf), spark.createDataFrame(qpdf)
-    got = _sorted(iim.iim_impute(spark, r, q, F, "A_y", k=k, l=l, h=1))
+    got = iim.iim_impute(spark, r, q, F, "A_y", k=k, l=l, h=1)
     if l is None:
         want = _learn_then_impute(spark, r, q, F, "A_y", k, h=1)
     else:
@@ -105,14 +105,16 @@ def test_blocked_knn_matches_knn_numpy(spark, tied, monkeypatch, k):
         rel.X, rel.X, min(k, rel.n - 1), r_ids=rel.ids, exclude_ids=rel.ids, q_ids=rel.ids
     )
     np.testing.assert_array_equal(nn.self_knn(rel, k), want_self)
-    want_q, _ = knn_numpy(Q, rel.X, k, r_ids=rel.ids)
-    np.testing.assert_array_equal(nn.knn_blocked(rel, Q, k), want_q)
+    want_q, want_d = knn_numpy(Q, rel.X, k, r_ids=rel.ids)
+    got_q, got_d = nn.knn_blocked(rel, Q, k)
+    np.testing.assert_array_equal(got_q, want_q)
+    np.testing.assert_array_equal(got_d, want_d)
 
 
 def test_output_independent_of_partitioning(spark, tied):
     r, q, F = tied
     outs = [
-        _sorted(iim.iim_impute(spark, r.repartition(p), q.repartition(p), F, "A_y", k=4))
+        iim.iim_impute(spark, r.repartition(p), q.repartition(p), F, "A_y", k=4)
         for p in (1, 7)
     ]
     pd.testing.assert_frame_equal(outs[0], outs[1])
@@ -154,7 +156,7 @@ def test_one_collect_and_sweep_of_the_neighbor_union(spark, tied, monkeypatch, l
             raise AssertionError("fixed l computed a self-kNN")
 
         monkeypatch.setattr(adaptive, "self_knn", no_self_knn)
-    iim.iim_impute(spark, r, q, F, "A_y", k=4, l=l).toPandas()
+    iim.iim_impute(spark, r, q, F, "A_y", k=4, l=l)
 
     assert len(collects) == 1
     rel = real_collect(r, F, "A_y")

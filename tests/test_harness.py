@@ -1,4 +1,6 @@
 """End-to-end experiment harness (Tables V / VI) at tiny scale."""
+import dataclasses
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -56,6 +58,20 @@ class TestImputeAndScore:
             res = harness.impute_with(spark, asf_exp, m, **({"k": 5} if m in ("kNN", "IIM") else {}))
             s = harness.score(asf_exp, res)
             assert np.isfinite(s) and s >= 0
+
+    def test_one_knn_call_runs_two_spark_jobs(self, spark, asf_exp):
+        """kNN over one group of the cached r runs two Spark jobs, collecting
+        r and collecting the queries; its imputations reach the harness
+        without a third."""
+        one_group = dataclasses.replace(asf_exp, groups=asf_exp.groups[:1])
+        sc = spark.sparkContext
+        sc.setJobGroup("knn-traffic", "one kNN call on a cached r")
+        try:
+            res = harness.impute_with(spark, one_group, "kNN", k=5)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert len(res) == asf_exp.groups[0].incomplete.count()
+        assert len(sc.statusTracker().getJobIdsForGroup("knn-traffic")) == 2
 
     def test_score_raises_on_partial_result(self, asf_exp):
         partial = pd.DataFrame(

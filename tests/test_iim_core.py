@@ -171,9 +171,7 @@ class TestEndToEnd:
         ]
         r = _df(spark, rows, ["row_id", "A1", "A2"])
         q = _df(spark, [(99, 5.0)], ["row_id", "A1"])
-        out = iim.iim_impute(
-            spark, r, q, ["A1"], "A2", k=3, l=4, engine="broadcast"
-        ).toPandas()
+        out = iim.iim_impute(spark, r, q, ["A1"], "A2", k=3, l=4, engine="broadcast")
         # right-street regression predicts 0.64 + 1.11*(5-4.5) ~ 1.19-1.21
         assert abs(out["imputed"].iloc[0] - 1.3) < 0.4
 
@@ -192,13 +190,13 @@ class TestEndToEnd:
         q = spark.createDataFrame(truth[["row_id", "A1"]])
         got = iim.iim_impute(
             spark, r, q, ["A1"], "A2", k=5, l=8, engine="broadcast"
-        ).toPandas().set_index("row_id")
+        ).set_index("row_id")
         iim_rms = np.sqrt(
             ((got.loc[truth["row_id"], "imputed"].to_numpy() - truth["A2"].to_numpy()) ** 2).mean()
         )
         from repro.baselines.simple import knn_impute
 
-        knn = knn_impute(spark, r, q, ["A1"], "A2", k=5).toPandas().set_index("row_id")
+        knn = knn_impute(spark, r, q, ["A1"], "A2", k=5).set_index("row_id")
         knn_rms = np.sqrt(
             ((knn.loc[truth["row_id"], "imputed"].to_numpy() - truth["A2"].to_numpy()) ** 2).mean()
         )

@@ -56,14 +56,8 @@ class TestRidgeFit:
         X = np.hstack([X, X])  # duplicated column
         y = X[:, 0] * 2
         phi = linalg.ridge_fit(X, y, alpha=1e-6)
-        pred = linalg.predict(X, phi)
+        pred = linalg.design(X) @ phi
         np.testing.assert_allclose(pred, y, atol=1e-3)
-
-    def test_predict_roundtrip(self):
-        X, y = _rand_xy(25, 4, 4)
-        phi = linalg.ridge_fit(X, y)
-        manual = linalg.design(X) @ phi
-        np.testing.assert_allclose(linalg.predict(X, phi), manual)
 
 
 class TestSingleNeighbor:
@@ -74,7 +68,7 @@ class TestSingleNeighbor:
 
     def test_predicts_constant(self):
         phi = linalg.single_neighbor_phi(-2.0, 3)
-        pred = linalg.predict(np.random.default_rng(0).normal(size=(5, 2)), phi)
+        pred = linalg.design(np.random.default_rng(0).normal(size=(5, 2))) @ phi
         np.testing.assert_allclose(pred, -2.0)
 
 
