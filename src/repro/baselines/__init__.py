@@ -9,8 +9,7 @@ column order); ``requires_multivariate`` marks methods the paper
 reports as "-" on the 2-attribute SN dataset, and ``k`` is the default
 neighbor count of the methods that take one.
 
-Mean and GLR are Catalyst plans ending in one ``toPandas()``. Every other
-method fits on r collected to the driver and imputes there too, each
+Every method fits on r collected to the driver and imputes there too, each
 incomplete tuple on its own, through :func:`repro.core.iim.impute_on_driver`,
 so its output does not depend on partitioning and needs no Spark job back.
 """

@@ -1,10 +1,9 @@
 """Attribute-model baselines: GLR [23], LOESS [10], BLR [29] (mice.norm),
 ERACER [25], PMM [19] (mice.pmm).
 
-GLR is fitted as a genuine distributed Catalyst plan: the normal-
-equation sufficient statistics U = sum(x x^T), V = sum(x y) are computed
-with DataFrame aggregations, solved on the driver, and the prediction
-(1, t_x[F]) phi is a column expression; only the imputations are collected.
+Each fits on r collected to the driver and imputes there through
+:func:`repro.core.iim.impute_on_driver`. GLR is one ridge fit over all of
+r (Formula 4, the l = n case of Proposition 2) and predicts (1, t_x[F]) phi.
 """
 from __future__ import annotations
 
@@ -12,46 +11,11 @@ from typing import Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, functions as F_
+from pyspark.sql import DataFrame, SparkSession
 
 from ..core import linalg
-from ..core.iim import collect_imputed, impute_on_driver
-from ..core.nn import ID, KNN_BLOCK, argsort_rows, collect_relation, knn_blocked, self_knn
-
-
-def glr_fit(
-    r: DataFrame, F: Sequence[str], A_x: str, *, alpha: float = linalg.DEFAULT_ALPHA
-) -> np.ndarray:
-    """Fit the global ridge regression F -> A_x with Spark aggregations.
-
-    Builds every entry of X^T X and X^T Y as a sum-of-products column
-    (one aggregate row), then solves (U + alpha E) phi = V on the driver.
-    """
-    terms = [F_.lit(1.0).alias("_one")] + [F_.col(a) for a in F]
-    names = ["_one"] + list(F)
-    aggs = []
-    m = len(names)
-    for i in range(m):
-        for j in range(i, m):
-            aggs.append(F_.sum(terms[i] * terms[j]).alias(f"u_{i}_{j}"))
-    for i in range(m):
-        aggs.append(F_.sum(terms[i] * F_.col(A_x)).alias(f"v_{i}"))
-    row = r.agg(*aggs).collect()[0]
-    U = np.empty((m, m))
-    V = np.empty(m)
-    for i in range(m):
-        for j in range(i, m):
-            U[i, j] = U[j, i] = row[f"u_{i}_{j}"]
-        V[i] = row[f"v_{i}"]
-    return linalg.ridge_solve(U, V, alpha)
-
-
-def glr_predict_expr(phi: np.ndarray, F: Sequence[str]):
-    """Column expression (1, t[F]) @ phi."""
-    expr = F_.lit(float(phi[0]))
-    for coef, a in zip(phi[1:], F):
-        expr = expr + F_.lit(float(coef)) * F_.col(a)
-    return expr
+from ..core.iim import impute_on_driver
+from ..core.nn import KNN_BLOCK, argsort_rows, collect_relation, knn_blocked, self_knn
 
 
 def glr_impute(
@@ -64,8 +28,9 @@ def glr_impute(
     alpha: float = linalg.DEFAULT_ALPHA,
 ) -> pd.DataFrame:
     """Global linear (ridge) regression imputation (Formula 4)."""
-    phi = glr_fit(r, F, A_x, alpha=alpha)
-    return collect_imputed(incomplete.select(ID, glr_predict_expr(phi, F).alias("imputed")))
+    rel = collect_relation(r, F, A_x)
+    phi = linalg.ridge_fit(rel.X, rel.y, alpha)
+    return impute_on_driver(incomplete, F, lambda _, Q: linalg.design(Q) @ phi)
 
 
 def loess_impute(

@@ -1,8 +1,7 @@
 """Tuple-model baselines: Mean [14], kNN [2][5], kNNE [13].
 
-Mean and kNN also ship pure-Catalyst (SQL) variants, checked against the
-DuckDB oracle, that end in one ``toPandas()``; the default engine is the
-broadcast numpy path used by the experiment harness.
+Mean and kNN are checked against the DuckDB oracle, kNN also against
+:func:`repro.core.sql_engine.knn_impute`.
 """
 from __future__ import annotations
 
@@ -10,10 +9,10 @@ from typing import Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, functions as F_
+from pyspark.sql import DataFrame, SparkSession
 
-from ..core.iim import collect_imputed, impute_on_driver
-from ..core.nn import ID, Relation, collect_relation, knn_blocked, knn_join
+from ..core.iim import impute_on_driver
+from ..core.nn import Relation, collect_relation, knn_blocked
 
 
 def mean_impute(
@@ -23,10 +22,9 @@ def mean_impute(
     F: Sequence[str],
     A_x: str,
 ) -> pd.DataFrame:
-    """Global column average of A_x over all complete tuples — a pure
-    Catalyst plan (aggregate + crossJoin of the scalar)."""
-    mean_df = r.agg(F_.avg(A_x).alias("imputed"))
-    return collect_imputed(incomplete.select(ID).crossJoin(mean_df))
+    """Global column average of A_x over all complete tuples."""
+    mean = collect_relation(r, F, A_x).y.mean()
+    return impute_on_driver(incomplete, F, lambda _, Q: np.full(len(Q), mean))
 
 
 def knn_impute(
@@ -37,18 +35,8 @@ def knn_impute(
     A_x: str,
     *,
     k: int = 10,
-    engine: str = "broadcast",
 ) -> pd.DataFrame:
     """Arithmetic mean of the k nearest complete neighbors (Formula 2)."""
-    if engine == "sql":
-        nn = knn_join(incomplete, r, F, k)
-        vals = r.select(F_.col(ID).alias("n_id"), F_.col(A_x).alias("_y"))
-        return collect_imputed(
-            nn.join(vals, "n_id")
-            .groupBy("q_id")
-            .agg(F_.avg("_y").alias("imputed"))
-            .withColumnRenamed("q_id", ID)
-        )
     rel = collect_relation(r, F, A_x)
     return impute_on_driver(
         incomplete, F, lambda _, Q: rel.y[knn_blocked(rel, Q, k)[0]].mean(axis=1)

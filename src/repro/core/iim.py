@@ -13,16 +13,13 @@ vote weights of Formulas 10-12 (candidates close to the other
 candidates get more weight; the all-equal case degenerates to uniform
 weights, which keeps Propositions 1-2 exact).
 
-Both phases come in two engines:
-
-* ``engine="sql"`` — nearest-neighbor lookup via a Catalyst crossJoin +
-  window plan and per-group applyInPandas; test-scale, oracle-friendly.
-* ``engine="broadcast"`` — the scalable path used by the experiment
-  harness. Learning is :mod:`repro.core.adaptive`'s pipeline (fixed l is
-  its one-point grid): r is collected and broadcast once and executors
-  sweep the candidate models. Imputation runs on the driver through
-  :func:`impute_on_driver`, the tail the baselines share: the incomplete
-  tuples' kNN in blocks, then the vote, returned as a pandas frame.
+Learning is :mod:`repro.core.adaptive`'s pipeline (fixed l is its
+one-point grid): r is collected and broadcast once and executors sweep
+the candidate models. Imputation runs on the driver through
+:func:`impute_on_driver`, the tail every method shares: the incomplete
+tuples' kNN in blocks, then the vote, returned as a pandas frame.
+:mod:`repro.core.sql_engine` states both phases as Catalyst plans; the
+tests hold this module to it.
 """
 from __future__ import annotations
 
@@ -31,19 +28,11 @@ from typing import Callable, Sequence
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F_
-from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
+from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from . import linalg
-from .adaptive import adaptive_learn, adaptive_models
-from .nn import ID, collect_relation, knn_blocked, knn_join
-
-MODEL_SCHEMA = StructType(
-    [
-        StructField(ID, LongType(), False),
-        StructField("phi", ArrayType(DoubleType(), False), False),
-    ]
-)
+from .adaptive import adaptive_models
+from .nn import ID, collect_relation, knn_blocked
 
 IMPUTED_SCHEMA = StructType(
     [
@@ -64,43 +53,24 @@ def learn_models(
     l: int,
     *,
     alpha: float = linalg.DEFAULT_ALPHA,
-    engine: str = "broadcast",
 ) -> DataFrame:
     """Algorithm 1: individual model per complete tuple, fixed l.
 
     Returns a DataFrame ``(row_id, phi)`` where ``phi`` is the
     (1+|F|)-vector [intercept, slopes...] of t_i's individual model.
     """
-    if engine == "sql":
-        return _learn_sql(spark, r, F, A_x, l, alpha)
     _, models, _ = adaptive_models(spark, r, F, A_x, alpha=alpha, l=l)
     return models.select(ID, "phi")
-
-
-def _learn_sql(spark, r, F, A_x, l, alpha):
-    # t_i is its own nearest neighbor (rank 0), ahead of any duplicate
-    own = r.select(F_.col(ID).alias("q_id"), F_.col(ID).alias("n_id"), F_.lit(0).alias("rank"))
-    nn = own.union(knn_join(r, r, F, l - 1, exclude_self=True).drop("dist"))
-    feats = r.select(
-        F_.col(ID).alias("n_id"), *[F_.col(a) for a in F], F_.col(A_x).alias("_y")
-    )
-    joined = nn.join(feats, "n_id")
-    cols = list(F)
-
-    def fit(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("rank")
-        phi = linalg.prefix_params(
-            pdf[cols].to_numpy(np.float64), pdf["_y"].to_numpy(np.float64), [len(pdf)], alpha
-        )[0]
-        return pd.DataFrame({ID: [pdf["q_id"].iloc[0]], "phi": [phi.tolist()]})
-
-    return joined.groupBy("q_id").applyInPandas(fit, MODEL_SCHEMA)
 
 
 # --------------------------------------------------------------- combining
 
 
-def combine_candidates(C: np.ndarray, *, weighting: str = "vote", tol: float = 1e-12) -> np.ndarray:
+#: Candidates whose pairwise distances c_xi are all at most this are equal.
+VOTE_TOL = 1e-12
+
+
+def combine_candidates(C: np.ndarray, *, weighting: str = "vote") -> np.ndarray:
     """Aggregate candidate matrices (q x k) into imputations (Formulas 10-12).
 
     vote: w_i proportional to 1 / sum_j |c_i - c_j|; rows whose candidates are
@@ -115,11 +85,11 @@ def combine_candidates(C: np.ndarray, *, weighting: str = "vote", tol: float = 1
         raise ValueError(f"unknown weighting {weighting!r}")
     c = np.abs(C[:, :, None] - C[:, None, :]).sum(axis=2)  # (q, k) distances c_xi
     out = np.empty(q)
-    degenerate = c.max(axis=1) <= tol
+    degenerate = c.max(axis=1) <= VOTE_TOL
     out[degenerate] = C[degenerate].mean(axis=1)
     ok = ~degenerate
     if ok.any():
-        inv = 1.0 / np.maximum(c[ok], tol)
+        inv = 1.0 / np.maximum(c[ok], VOTE_TOL)
         w = inv / inv.sum(axis=1, keepdims=True)
         out[ok] = (C[ok] * w).sum(axis=1)
     return out
@@ -138,7 +108,6 @@ def impute(
     k: int,
     *,
     weighting: str = "vote",
-    engine: str = "broadcast",
 ) -> DataFrame:
     """Algorithm 2: impute ``incomplete[A_x]`` from the individual models.
 
@@ -146,8 +115,6 @@ def impute(
     tuple: unlike :func:`iim_impute`, which returns the driver tail's pandas
     frame, it keeps a DataFrame because ``iimbench/`` calls ``.toPandas()`` on it.
     """
-    if engine == "sql":
-        return _impute_sql(r, incomplete, models, F, k, weighting)
     rel = collect_relation(r, F, A_x)
     mp = models.select(ID, "phi").toPandas().sort_values(ID)
     if not np.array_equal(mp[ID].to_numpy(np.int64), rel.ids):
@@ -159,30 +126,12 @@ def impute(
     return spark.createDataFrame(imputed, IMPUTED_SCHEMA)
 
 
-def _impute_sql(r, incomplete, models, F, k, weighting):
-    nn = knn_join(incomplete, r, F, k)
-    joined = nn.join(models.withColumnRenamed(ID, "n_id"), "n_id").join(
-        incomplete.select(F_.col(ID).alias("q_id"), *[F_.col(a) for a in F]), "q_id"
-    )
-    cols = list(F)
-
-    def agg(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("rank")
-        x = pdf[cols].to_numpy(np.float64)[0]
-        Phi = np.array(pdf["phi"].tolist(), dtype=np.float64)  # (k, m)
-        cand = Phi[:, 0] + Phi[:, 1:] @ x  # Formula 9
-        val = combine_candidates(cand[None, :], weighting=weighting)[0]
-        return pd.DataFrame({ID: [pdf["q_id"].iloc[0]], "imputed": [val]})
-
-    return joined.groupBy("q_id").applyInPandas(agg, IMPUTED_SCHEMA)
-
-
 def impute_on_driver(
     incomplete: DataFrame,
     F: Sequence[str],
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> pd.DataFrame:
-    """The imputation tail of the broadcast engine and of the baselines.
+    """The imputation tail of every method: IIM and the 13 baselines.
 
     Collects ``(row_id, F)`` of the incomplete tuples in id order, computes
     ``fn(ids, Q)`` on the driver (Q: their F values, one row per id) and
@@ -198,11 +147,6 @@ def impute_on_driver(
     if (np.diff(ids) == 0).any():
         raise ValueError(f"duplicate {ID} values in the incomplete tuples")
     return pd.DataFrame({ID: ids, "imputed": np.asarray(fn(ids, Q), dtype=np.float64)})
-
-
-def collect_imputed(df: DataFrame) -> pd.DataFrame:
-    """A Spark ``(row_id, imputed)`` result as the methods' pandas frame, in id order."""
-    return df.select(ID, "imputed").toPandas().sort_values(ID, ignore_index=True)
 
 
 def _vote(Q: np.ndarray, Phi: np.ndarray, nn: np.ndarray, weighting: str) -> np.ndarray:
@@ -225,37 +169,26 @@ def iim_impute(
     *,
     k: int = 10,
     l: int | None = None,
-    adaptive: bool = True,
     h: int | None = None,
     l_max: int | None = None,
     alpha: float = linalg.DEFAULT_ALPHA,
     weighting: str = "vote",
-    engine: str = "broadcast",
 ) -> pd.DataFrame:
     """One-shot IIM: learn (fixed-l or adaptive) then impute.
 
     ``l`` set -> fixed-l Algorithm 1; otherwise adaptive Algorithm 3
     (the paper's recommended mode) with stepping ``h`` (auto if None).
 
-    The broadcast engine is demand-driven: r is collected and broadcast
-    once, the driver finds the incomplete tuples' k nearest complete
-    tuples (and, for adaptive l, every complete tuple's validation
-    neighbors), and the candidate sweep runs on executors only for the
-    union of the former — the only models Algorithm 2 reads. Their l* and
+    Learning is demand-driven: r is collected and broadcast once, the
+    driver finds the incomplete tuples' k nearest complete tuples (and,
+    for adaptive l, every complete tuple's validation neighbors), and the
+    candidate sweep runs on executors only for the union of the former —
+    the only models Algorithm 2 reads. Their l* and
     phi are those of full learning, so the imputations are too. To learn
     every model once and impute many query batches, call
     :func:`learn_models` or :func:`repro.core.adaptive.adaptive_learn`
     and then :func:`impute`.
     """
-    if l is None and not adaptive:
-        raise ValueError("either fix l or enable adaptive learning")
-    if engine == "sql":
-        if l is None:
-            models = adaptive_learn(spark, r, F, A_x, k=k, h=h, l_max=l_max, alpha=alpha)
-        else:
-            models = learn_models(spark, r, F, A_x, l, alpha=alpha, engine=engine)
-        return collect_imputed(_impute_sql(r, incomplete, models, F, k, weighting))
-
     def learn_and_vote(_, Q: np.ndarray) -> np.ndarray:
         rel, models, nn = adaptive_models(
             spark, r, F, A_x, Q, k=k, h=h, l_max=l_max, alpha=alpha, l=l

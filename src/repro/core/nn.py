@@ -1,29 +1,24 @@
-"""Nearest-neighbor search over the complete relation r.
+"""Nearest-neighbor search over the complete relation r, on the driver.
 
-Two interchangeable engines, both using the paper's Formula 1 distance
-(root mean squared difference over the complete attributes F; the
-1/|F| factor does not change the ranking but is kept so distances match
-the paper's examples):
+Every distance is the paper's Formula 1 (root mean squared difference
+over the complete attributes F; the 1/|F| factor does not change the
+ranking but is kept so distances match the paper's examples).
+:func:`knn_blocked` on a collected :class:`Relation` is the one kNN entry
+point, used by IIM, kNN, kNNE, ERACER, LOESS and ILLS: vectorized numpy
+kNN against a collected copy of r in KNN_BLOCK-row blocks;
+:func:`knn_numpy` is its one-call form on bare matrices. It is exact but
+ranks only the entries that can be neighbors: a row's k-th smallest
+squared distance over a strided sample of the columns bounds its true k-th
+from above, and only the entries within that bound (plus a rounding
+margin) get a Formula-1 distance and a (distance, id) ranking — about 2 %
+of them on CA.
 
-* :func:`knn_join` — a pure Catalyst plan (crossJoin + window) returning
-  the (query, neighbor, rank, distance) pairs. This is the
-  "nearest-neighbor lookup via joins" path; quadratic, used at test
-  scale and oracle-checked.
-* :func:`knn_blocked` on a collected :class:`Relation` — vectorized numpy
-  kNN against a collected copy of r in KNN_BLOCK-row blocks, the one entry
-  point of the scalable engines on the Spark driver (IIM, kNN, kNNE,
-  ERACER, LOESS and ILLS); :func:`knn_numpy` is its one-call form on bare
-  matrices. It is exact but ranks only the entries that can be neighbors: a
-  row's k-th smallest squared distance over a strided sample of the
-  columns bounds its true k-th from above, and only the entries within
-  that bound (plus a rounding margin) get a Formula-1 distance and a
-  (distance, id) ranking — about 2 % of them on CA.
-
-Ties are broken deterministically by (distance, neighbor row_id) in
-both engines so they agree bit-for-bit. Every numpy-side ranking (this
-kNN, the adaptive sweep's neighbor order, PMM's donors) goes through
-:func:`argsort_rows`: numpy's default unstable argsort, which is SIMD
-vectorized where the CPU allows, with the tie order repaired afterwards.
+Ties are broken deterministically by (distance, neighbor row_id), as in
+the Catalyst reference :func:`repro.core.sql_engine.knn_join`, which the
+tests hold this module to. Every ranking (this kNN, the adaptive sweep's
+neighbor order, PMM's donors) goes through :func:`argsort_rows`: numpy's
+default unstable argsort, which is SIMD vectorized where the CPU allows,
+with the tie order repaired afterwards.
 """
 from __future__ import annotations
 
@@ -31,8 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F_
+from pyspark.sql import DataFrame
 
 
 ID = "row_id"
@@ -40,54 +34,6 @@ ID = "row_id"
 KNN_BLOCK = 64
 #: Column stride of the sample that bounds each row's k-th distance.
 _SAMPLE_STRIDE = 8
-
-
-def distance_expr(F: Sequence[str], left: str = "q_", right: str = "n_"):
-    """Column expression for Formula 1 over per-side prefixed columns.
-
-    Columns are renamed (``q_A1`` vs ``n_A1``) rather than aliased
-    because a crossJoin of a relation with itself cannot disambiguate
-    ``q.A1``/``r.A1`` — both resolve to the same plan node.
-    """
-    sq = sum(
-        (F_.col(f"{left}{a}") - F_.col(f"{right}{a}")) ** 2 for a in F
-    )
-    return F_.sqrt(sq / F_.lit(float(len(F))))
-
-
-def knn_join(
-    queries: DataFrame,
-    r: DataFrame,
-    F: Sequence[str],
-    k: int,
-    *,
-    exclude_self: bool = False,
-    id_col: str = ID,
-) -> DataFrame:
-    """k nearest neighbors of every query tuple from r, as a DataFrame.
-
-    Returns columns ``q_id, n_id, rank, dist`` (rank 1 = closest).
-    ``exclude_self`` drops pairs with equal ids — used when the queries
-    are themselves members of r (validation in adaptive learning).
-    """
-    q = queries.select(
-        F_.col(id_col).alias("q_id"), *[F_.col(a).alias(f"q_{a}") for a in F]
-    )
-    n = r.select(
-        F_.col(id_col).alias("n_id"), *[F_.col(a).alias(f"n_{a}") for a in F]
-    )
-    pairs = q.crossJoin(n)
-    if exclude_self:
-        pairs = pairs.where(F_.col("q_id") != F_.col("n_id"))
-    pairs = pairs.select(
-        "q_id", "n_id", distance_expr(F).alias("dist")
-    )
-    w = Window.partitionBy("q_id").orderBy(F_.col("dist").asc(), F_.col("n_id").asc())
-    return (
-        pairs.withColumn("rank", F_.row_number().over(w))
-        .where(F_.col("rank") <= k)
-        .select("q_id", "n_id", "rank", "dist")
-    )
 
 
 def _sq_dist(Q: np.ndarray, R: np.ndarray, rn: np.ndarray) -> np.ndarray:
@@ -218,7 +164,7 @@ def knn_numpy(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indices (into R) and distances of the k nearest rows of R per query.
 
-    Tie-break: (distance, r_id) ascending, matching :func:`knn_join`;
+    Tie-break: (distance, r_id) ascending, as in the SQL reference;
     ``r_ids`` must be unique. ``exclude_ids[i]`` (aligned with Q) is
     removed from query i's candidacy (validation mode). ``q_ids`` is
     unused and kept for existing callers. Exact: only the entries a
@@ -245,7 +191,7 @@ class Relation:
         return len(self.ids)
 
 
-def collect_relation(df: DataFrame, F: Sequence[str], A_x: str, id_col: str = ID) -> Relation:
+def collect_relation(df: DataFrame, F: Sequence[str], A_x: str) -> Relation:
     """Collect (id, F, A_x) columns of a Spark relation into numpy arrays,
     sorted by id for determinism.
 
@@ -253,17 +199,17 @@ def collect_relation(df: DataFrame, F: Sequence[str], A_x: str, id_col: str = ID
     sweep ranks distance ties by position, which is the (distance, id)
     rule only because the ids come out unique and ascending.
     """
-    cols = [id_col, *F] + ([A_x] if A_x not in F else [])
-    pdf = df.select(*cols).toPandas().sort_values(id_col)
+    cols = [ID, *F] + ([A_x] if A_x not in F else [])
+    pdf = df.select(*cols).toPandas().sort_values(ID)
     rel = Relation(
-        ids=pdf[id_col].to_numpy(np.int64),
+        ids=pdf[ID].to_numpy(np.int64),
         X=pdf[list(F)].to_numpy(np.float64),
         y=pdf[A_x].to_numpy(np.float64),
     )
     if not (np.isfinite(rel.X).all() and np.isfinite(rel.y).all()):
         raise ValueError(f"NaN or infinite values in {[*F, A_x]}: r must be complete and finite")
     if (np.diff(rel.ids) == 0).any():
-        raise ValueError(f"duplicate {id_col} values in r")
+        raise ValueError(f"duplicate {ID} values in r")
     return rel
 
 

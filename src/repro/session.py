@@ -6,8 +6,9 @@ launch-time options, so they go into ``PYSPARK_SUBMIT_ARGS`` before the
 first session starts the JVM (an explicitly set ``PYSPARK_SUBMIT_ARGS``
 wins). ``SPARK_MASTER`` (default ``local[*]``), ``SPARK_DRIVER_MEM``
 (default: Spark's own) and ``SPARK_SHUFFLE_PARTITIONS`` (default 64)
-override them. Broadcast joins are disabled so the SQL engine's kNN
-joins run as shuffles whatever the relation size.
+override them. Broadcast joins are disabled so the kNN joins of the
+Catalyst reference engine (``repro.core.sql_engine``) run as shuffles
+whatever the relation size.
 """
 from __future__ import annotations
 

@@ -113,7 +113,7 @@ def test_adaptive_beats_bad_fixed_l(spark):
         e = got.loc[truth["row_id"], "imputed"].to_numpy() - truth["A_y"].to_numpy()
         return float(np.sqrt((e**2).mean()))
 
-    adaptive = rms_for(l=None, adaptive=True, h=1, l_max=None)
+    adaptive = rms_for(l=None, h=1, l_max=None)
     overfit = rms_for(l=2)
     underfit = rms_for(l=64)
     assert adaptive <= overfit * 1.05

@@ -5,8 +5,7 @@ import pandas as pd
 import pytest
 
 from repro.baselines import DEFAULT_K, METHODS
-from repro.baselines.regression import glr_fit
-from repro.core import linalg, nn
+from repro.core import nn, sql_engine
 from repro.oracle import assert_equivalent
 
 ATTRS = ["A1", "A2", "A3"]
@@ -42,8 +41,6 @@ def _run(spark, name, data, **params):
 
 
 ALL = list(METHODS)
-#: The methods that impute on the driver through ``impute_on_driver``.
-DRIVER_TAIL = [m for m in ALL if m not in ("Mean", "GLR")]
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -64,10 +61,9 @@ def test_every_method_is_deterministic(spark, linear_data, name):
 def test_every_method_is_invariant_to_partitioning(spark, linear_data, name):
     """A method's output is a function of its inputs and seed only: r and
     the queries in one partition, or in seven with the query rows
-    reversed, impute the same values. Mean and GLR aggregate with Spark's
-    sum/avg, which add the partitions' partial sums in partition order, so
-    they agree to rounding only. Either way the result is a pandas frame of
-    exactly (row_id, imputed), one row per query in ascending id order."""
+    reversed, impute the same values, bit for bit. The result is a pandas
+    frame of exactly (row_id, imputed), one row per query in ascending id
+    order."""
     pdf, _, q_pdf, _, _ = linear_data
 
     def run(parts, queries):
@@ -80,13 +76,10 @@ def test_every_method_is_invariant_to_partitioning(spark, linear_data, name):
         return out
 
     one, seven = run(1, q_pdf), run(7, q_pdf.iloc[::-1])
-    if name in ("Mean", "GLR"):
-        np.testing.assert_allclose(seven["imputed"], one["imputed"], rtol=1e-12)
-    else:
-        np.testing.assert_array_equal(seven["imputed"], one["imputed"])
+    np.testing.assert_array_equal(seven["imputed"], one["imputed"])
 
 
-@pytest.mark.parametrize("name", DRIVER_TAIL)
+@pytest.mark.parametrize("name", ALL)
 def test_driver_tail_rejects_bad_queries(spark, linear_data, name):
     """A NaN or infinite F value, or a repeated row_id, among the incomplete
     tuples fails loudly instead of imputing garbage (a NaN query used to
@@ -168,13 +161,14 @@ class TestMean:
 class TestKNN:
     @pytest.mark.parametrize("k", [1, 4])
     def test_sql_engine_matches_broadcast(self, spark, linear_data, k):
-        a = _run(spark, "kNN", linear_data, k=k, engine="sql")
-        b = _run(spark, "kNN", linear_data, k=k, engine="broadcast")
+        _, r, _, q, _ = linear_data
+        a = sql_engine.knn_impute(r, q, ["A1", "A2"], "A3", k=k)["imputed"].to_numpy()
+        b = _run(spark, "kNN", linear_data, k=k)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_oracle(self, spark, linear_data):
         pdf, r, q_pdf, q, _ = linear_data
-        out = METHODS["kNN"].fn(spark, r, q, ["A1", "A2"], "A3", k=3, engine="sql")
+        out = sql_engine.knn_impute(r, q, ["A1", "A2"], "A3", k=3)
         sql = """
             SELECT q_id AS row_id, AVG(A3) AS imputed FROM (
               SELECT q.row_id AS q_id, r.A3,
@@ -219,15 +213,9 @@ class TestKNNE:
 
 
 class TestGLR:
-    def test_spark_aggregated_fit_matches_numpy(self, spark, linear_data):
-        pdf, r, *_ = linear_data
-        phi = glr_fit(r, ["A1", "A2"], "A3")
-        ref = linalg.ridge_fit(pdf[["A1", "A2"]].to_numpy(), pdf["A3"].to_numpy())
-        np.testing.assert_allclose(phi, ref, rtol=1e-6)
-
     def test_oracle_1d_regression(self, spark):
-        """DuckDB's regr_slope/intercept agree with the Catalyst-fit GLR
-        on a single complete attribute."""
+        """DuckDB's regr_slope/intercept agree with GLR on a single
+        complete attribute."""
         rng = np.random.default_rng(6)
         pdf = pd.DataFrame(
             {

@@ -4,8 +4,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import iim
+from repro.core import iim, sql_engine
 from repro.core.iim import combine_candidates
+
+#: Algorithm 1 at fixed l: the library's pipeline and the Catalyst reference.
+LEARN = {"sql": sql_engine.learn_models, "broadcast": iim.learn_models}
 
 
 def _df(spark, rows, cols):
@@ -84,7 +87,7 @@ class TestLearning:
         """l=4 over t1..t4: every tuple's neighbors are all four tuples,
         so every phi equals (5.56, -0.87) (paper Example 2 / Figure 1
         left street)."""
-        models = iim.learn_models(spark, fig1_r, ["A1"], "A2", 4, engine=engine)
+        models = LEARN[engine](spark, fig1_r, ["A1"], "A2", 4)
         got = models.toPandas().sort_values("row_id")
         assert len(got) == 4
         for phi in got["phi"]:
@@ -101,7 +104,7 @@ class TestLearning:
             (fig1_r, {1: 5.8, 2: 4.6, 3: 3.8, 4: 3.2}),
             (dups, {1: 5.0, 2: 7.0, 3: 1.0, 4: 3.0, 5: 9.0}),
         ]:
-            models = iim.learn_models(spark, r, ["A1"], "A2", 1, engine=engine)
+            models = LEARN[engine](spark, r, ["A1"], "A2", 1)
             got = models.toPandas().sort_values("row_id")
             assert got["row_id"].tolist() == sorted(y)
             for _, row in got.iterrows():
@@ -109,7 +112,7 @@ class TestLearning:
 
     def test_example6_l3_for_t1(self, spark, fig1_r, engine):
         """t1's 3 nearest neighbors are t1,t2,t3 -> phi = (5.66, -1.03)."""
-        models = iim.learn_models(spark, fig1_r, ["A1"], "A2", 3, engine=engine)
+        models = LEARN[engine](spark, fig1_r, ["A1"], "A2", 3)
         got = models.toPandas().set_index("row_id")
         np.testing.assert_allclose(got.loc[1, "phi"], [5.66, -1.03], atol=0.005)
 
@@ -120,11 +123,11 @@ class TestEngineAgreement:
         pdf, df = rand_r
         F = ["A1", "A2"]
         a = (
-            iim.learn_models(spark, df, F, "A3", l, engine="sql")
+            sql_engine.learn_models(spark, df, F, "A3", l)
             .toPandas().sort_values("row_id").reset_index(drop=True)
         )
         b = (
-            iim.learn_models(spark, df, F, "A3", l, engine="broadcast")
+            iim.learn_models(spark, df, F, "A3", l)
             .toPandas().sort_values("row_id").reset_index(drop=True)
         )
         assert a["row_id"].tolist() == b["row_id"].tolist()
@@ -136,7 +139,7 @@ class TestEngineAgreement:
     def test_imputation_engines_agree(self, spark, rand_r, k):
         pdf, df = rand_r
         F = ["A1", "A2"]
-        models = iim.learn_models(spark, df, F, "A3", 5, engine="broadcast")
+        models = iim.learn_models(spark, df, F, "A3", 5)
         rng = np.random.default_rng(9)
         q = spark.createDataFrame(
             pd.DataFrame(
@@ -148,11 +151,11 @@ class TestEngineAgreement:
             )
         )
         a = (
-            iim.impute(spark, df, q, models, F, "A3", k, engine="sql")
+            sql_engine.impute(df, q, models, F, k)
             .toPandas().sort_values("row_id").reset_index(drop=True)
         )
         b = (
-            iim.impute(spark, df, q, models, F, "A3", k, engine="broadcast")
+            iim.impute(spark, df, q, models, F, "A3", k)
             .toPandas().sort_values("row_id").reset_index(drop=True)
         )
         np.testing.assert_allclose(
@@ -171,7 +174,7 @@ class TestEndToEnd:
         ]
         r = _df(spark, rows, ["row_id", "A1", "A2"])
         q = _df(spark, [(99, 5.0)], ["row_id", "A1"])
-        out = iim.iim_impute(spark, r, q, ["A1"], "A2", k=3, l=4, engine="broadcast")
+        out = iim.iim_impute(spark, r, q, ["A1"], "A2", k=3, l=4)
         # right-street regression predicts 0.64 + 1.11*(5-4.5) ~ 1.19-1.21
         assert abs(out["imputed"].iloc[0] - 1.3) < 0.4
 
@@ -188,9 +191,7 @@ class TestEndToEnd:
         truth = pdf.loc[mask]
         r = spark.createDataFrame(pdf.drop(mask))
         q = spark.createDataFrame(truth[["row_id", "A1"]])
-        got = iim.iim_impute(
-            spark, r, q, ["A1"], "A2", k=5, l=8, engine="broadcast"
-        ).set_index("row_id")
+        got = iim.iim_impute(spark, r, q, ["A1"], "A2", k=5, l=8).set_index("row_id")
         iim_rms = np.sqrt(
             ((got.loc[truth["row_id"], "imputed"].to_numpy() - truth["A2"].to_numpy()) ** 2).mean()
         )
@@ -210,12 +211,4 @@ class TestEndToEnd:
             pd.DataFrame({"row_id": [500], "A1": [0.0], "A2": [0.0]})
         )
         with pytest.raises(Exception):
-            iim.impute(spark, df, q, models, F, "A3", 3, engine="broadcast").collect()
-
-    def test_fixed_l_or_adaptive_required(self, spark, rand_r):
-        pdf, df = rand_r
-        q = spark.createDataFrame(
-            pd.DataFrame({"row_id": [500], "A1": [0.0], "A2": [0.0]})
-        )
-        with pytest.raises(ValueError):
-            iim.iim_impute(spark, df, q, ["A1", "A2"], "A3", adaptive=False)
+            iim.impute(spark, df, q, models, F, "A3", 3).collect()

@@ -1,12 +1,12 @@
-"""Nearest-neighbor engines: the Catalyst kNN join vs the broadcast
-numpy kNN, plus DuckDB-oracle checks of the distance computation."""
+"""Nearest-neighbor search: the driver's numpy kNN vs the Catalyst
+reference kNN join, plus DuckDB-oracle checks of the distance computation."""
 import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import nn
+from repro.core import nn, sql_engine
 from repro.oracle import assert_equivalent
 
 
@@ -107,7 +107,7 @@ def test_sql_join_matches_numpy(spark, small_rel, queries, k):
     q_pdf, q_df = queries
     F = ["A1", "A2", "A3"]
     got = (
-        nn.knn_join(q_df, rel_df, F, k)
+        sql_engine.knn_join(q_df, rel_df, F, k)
         .toPandas()
         .sort_values(["q_id", "rank"])
         .reset_index(drop=True)
@@ -124,9 +124,9 @@ def test_sql_join_matches_numpy(spark, small_rel, queries, k):
 def test_sql_join_exclude_self(spark, small_rel):
     rel_pdf, rel_df = small_rel
     F = ["A1", "A2", "A3"]
-    got = nn.knn_join(rel_df, rel_df, F, 1, exclude_self=True).toPandas()
+    got = sql_engine.knn_join(rel_df, rel_df, F, 1, exclude_self=True).toPandas()
     assert not np.any(got["q_id"].to_numpy() == got["n_id"].to_numpy())
-    got2 = nn.knn_join(rel_df, rel_df, F, 1, exclude_self=False).toPandas()
+    got2 = sql_engine.knn_join(rel_df, rel_df, F, 1, exclude_self=False).toPandas()
     assert np.all(got2["q_id"].to_numpy() == got2["n_id"].to_numpy())
 
 
@@ -135,7 +135,7 @@ def test_knn_distance_oracle(spark, small_rel, queries):
     rel_pdf, rel_df = small_rel
     q_pdf, q_df = queries
     F = ["A1", "A2", "A3"]
-    got = nn.knn_join(q_df, rel_df, F, 3).select("q_id", "n_id", "rank")
+    got = sql_engine.knn_join(q_df, rel_df, F, 3).select("q_id", "n_id", "rank")
     sql = """
         SELECT q_id, n_id, rank FROM (
           SELECT q.row_id AS q_id, r.row_id AS n_id,
@@ -167,7 +167,7 @@ def test_self_knn_matches_join(spark, small_rel):
     rel = nn.collect_relation(rel_df, F, "A3")
     got = rel.ids[nn.self_knn(rel, 4)].ravel()
     sql_pairs = (
-        nn.knn_join(rel_df, rel_df, F, 4, exclude_self=True)
+        sql_engine.knn_join(rel_df, rel_df, F, 4, exclude_self=True)
         .toPandas()
         .sort_values(["q_id", "rank"])
     )

@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines.regression import glr_impute
 from repro.baselines.simple import knn_impute
-from repro.core import iim
+from repro.core import iim, sql_engine
 
 
 def _data(spark, n, p, seed, nq=8):
@@ -50,7 +50,11 @@ def test_proposition1_with_duplicate_tuples(spark, engine):
     q.insert(0, "row_id", np.arange(100, 106, dtype=np.int64))
     r, q = spark.createDataFrame(pdf), spark.createDataFrame(q)
     F = ["A1", "A2"]
-    got = iim.iim_impute(spark, r, q, F, "A3", k=4, l=1, weighting="uniform", engine=engine)
+    if engine == "sql":
+        models = sql_engine.learn_models(spark, r, F, "A3", 1)
+        got = sql_engine.collect_imputed(sql_engine.impute(r, q, models, F, 4, weighting="uniform"))
+    else:
+        got = iim.iim_impute(spark, r, q, F, "A3", k=4, l=1, weighting="uniform")
     ref = knn_impute(spark, r, q, F, "A3", k=4)
     np.testing.assert_allclose(
         got["imputed"].to_numpy(), ref["imputed"].to_numpy(), atol=1e-9
