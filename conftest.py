@@ -40,6 +40,14 @@ def _driver_mem() -> str:
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
+# Spark's Python workers inherit the environment the JVM starts with, and
+# pytest.ini's filters do not reach them: make a RuntimeWarning from the
+# repro modules that run there (the adaptive sweep kernel and what it
+# calls) an error in the workers too. Unlike pytest's filter, a
+# PYTHONWARNINGS module field must match the whole module name.
+os.environ["PYTHONWARNINGS"] = ",".join(
+    f"error::RuntimeWarning:repro.core.{m}" for m in ("adaptive", "linalg", "nn")
+)
 
 
 @pytest.fixture(scope="session")

@@ -7,33 +7,27 @@ as in the paper.
 """
 from __future__ import annotations
 
-from typing import Sequence
+import numpy as np
+from pyspark.sql import SparkSession
 
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-
-from ..core.iim import impute_on_driver
-from ..core.nn import collect_relation
+from ..core.nn import Relation
 from ..ml.gbt import GBTRegressor
 
 
 def xgb_impute(
     spark: SparkSession,
-    r: DataFrame,
-    incomplete: DataFrame,
-    F: Sequence[str],
-    A_x: str,
+    rel: Relation,
+    ids: np.ndarray,
+    Q: np.ndarray,
     *,
     n_estimators: int = 60,
     max_depth: int = 3,
     learning_rate: float = 0.3,
     seed: int = 0,
-) -> pd.DataFrame:
-    rel = collect_relation(r, F, A_x)
-    model = GBTRegressor(
+) -> np.ndarray:
+    return GBTRegressor(
         n_estimators=n_estimators,
         max_depth=max_depth,
         learning_rate=learning_rate,
         seed=seed,
-    ).fit(rel.X, rel.y)
-    return impute_on_driver(incomplete, F, lambda _, Q: model.predict(Q))
+    ).fit(rel.X, rel.y).predict(Q)

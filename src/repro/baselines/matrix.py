@@ -6,65 +6,52 @@ as the paper does.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
-from ..core.iim import impute_on_driver
-from ..core.nn import Relation, collect_relation, knn_blocked
+from ..core.nn import Relation, knn_blocked
 from ..ml.svd_impute import SVDImputer
 
 
 def svd_impute(
     spark: SparkSession,
-    r: DataFrame,
-    incomplete: DataFrame,
-    F: Sequence[str],
-    A_x: str,
+    rel: Relation,
+    ids: np.ndarray,
+    Q: np.ndarray,
     *,
     q: int | None = None,
-) -> pd.DataFrame:
+) -> np.ndarray:
     """SVDimpute: project onto the q most significant eigengenes of the
     complete relation and reconstruct the missing coordinate."""
-    rel = collect_relation(r, F, A_x)
     p = rel.X.shape[1]
     M = np.hstack([rel.X, rel.y[:, None]])  # attribute order: F..., A_x
-    imp = SVDImputer(q).fit(M)
-    return impute_on_driver(incomplete, F, lambda _, Q: imp.impute(Q, np.arange(p), p))
+    return SVDImputer(q).fit(M).impute(Q, np.arange(p), p)
 
 
 def ills_impute(
     spark: SparkSession,
-    r: DataFrame,
-    incomplete: DataFrame,
-    F: Sequence[str],
-    A_x: str,
+    rel: Relation,
+    ids: np.ndarray,
+    Q: np.ndarray,
     *,
     k: int = 10,
     iterations: int = 3,
-) -> pd.DataFrame:
+) -> np.ndarray:
     """Iterated Local Least Squares: express t_x[F] as a least-squares
     combination of its k neighbors' F-vectors and apply the same
     combination to their A_x values; iterate with distances refined over
     the full schema using the current imputations.
     """
-    rel = collect_relation(r, F, A_x)
     full = Relation(rel.ids, np.hstack([rel.X, rel.y[:, None]]), rel.y)
-
-    def predict(_, Q: np.ndarray) -> np.ndarray:
-        est = None
-        for _ in range(max(1, iterations)):
-            if est is None:
-                idx, _ = knn_blocked(rel, Q, k)
-            else:  # refine neighbors using the imputed full tuples
-                idx, _ = knn_blocked(full, np.hstack([Q, est[:, None]]), k)
-            est = np.empty(len(Q))
-            for qi in range(len(Q)):
-                N = rel.X[idx[qi]]  # (k, |F|)
-                w, *_ = np.linalg.lstsq(N.T, Q[qi], rcond=None)
-                est[qi] = float(w @ rel.y[idx[qi]])
-        return est
-
-    return impute_on_driver(incomplete, F, predict)
+    est = None
+    for _ in range(max(1, iterations)):
+        if est is None:
+            idx, _ = knn_blocked(rel, Q, k)
+        else:  # refine neighbors using the imputed full tuples
+            idx, _ = knn_blocked(full, np.hstack([Q, est[:, None]]), k)
+        est = np.empty(len(Q))
+        for qi in range(len(Q)):
+            N = rel.X[idx[qi]]  # (k, |F|)
+            w, *_ = np.linalg.lstsq(N.T, Q[qi], rcond=None)
+            est[qi] = float(w @ rel.y[idx[qi]])
+    return est

@@ -1,68 +1,55 @@
 """Attribute-model baselines: GLR [23], LOESS [10], BLR [29] (mice.norm),
 ERACER [25], PMM [19] (mice.pmm).
 
-Each fits on r collected to the driver and imputes there through
-:func:`repro.core.iim.impute_on_driver`. GLR is one ridge fit over all of
-r (Formula 4, the l = n case of Proposition 2) and predicts (1, t_x[F]) phi.
+Each fits on the collected r and imputes the queries on the driver. GLR
+is one ridge fit over all of r (Formula 4, the l = n case of
+Proposition 2) and predicts (1, t_x[F]) phi.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from ..core import linalg
-from ..core.iim import impute_on_driver
-from ..core.nn import KNN_BLOCK, argsort_rows, collect_relation, knn_blocked, self_knn
+from ..core.nn import KNN_BLOCK, Relation, argsort_rows, knn_blocked, self_knn
 
 
 def glr_impute(
     spark: SparkSession,
-    r: DataFrame,
-    incomplete: DataFrame,
-    F: Sequence[str],
-    A_x: str,
+    rel: Relation,
+    ids: np.ndarray,
+    Q: np.ndarray,
     *,
     alpha: float = linalg.DEFAULT_ALPHA,
-) -> pd.DataFrame:
+) -> np.ndarray:
     """Global linear (ridge) regression imputation (Formula 4)."""
-    rel = collect_relation(r, F, A_x)
-    phi = linalg.ridge_fit(rel.X, rel.y, alpha)
-    return impute_on_driver(incomplete, F, lambda _, Q: linalg.design(Q) @ phi)
+    return linalg.design(Q) @ linalg.ridge_fit(rel.X, rel.y, alpha)
 
 
 def loess_impute(
     spark: SparkSession,
-    r: DataFrame,
-    incomplete: DataFrame,
-    F: Sequence[str],
-    A_x: str,
+    rel: Relation,
+    ids: np.ndarray,
+    Q: np.ndarray,
     *,
     span: float = 0.3,
     alpha: float = linalg.DEFAULT_ALPHA,
-) -> pd.DataFrame:
+) -> np.ndarray:
     """Local regression: tricube-weighted linear fit over the span*n
     nearest neighbors of each incomplete tuple, evaluated at t_x."""
-    rel = collect_relation(r, F, A_x)
-    n_loc = min(rel.n, max(len(F) + 2, int(np.ceil(span * rel.n))))
-
-    def predict(_, Q: np.ndarray) -> np.ndarray:
-        out = np.empty(len(Q))
-        for qi, (nb, d) in enumerate(zip(*knn_blocked(rel, Q, n_loc))):
-            dmax = d[-1] if d[-1] > 0 else 1.0
-            w = (1.0 - np.minimum(d / dmax, 1.0) ** 3) ** 3
-            w = np.maximum(w, 1e-9)
-            Xd = linalg.design(rel.X[nb])
-            W = w[:, None]
-            U = Xd.T @ (W * Xd)
-            V = Xd.T @ (w * rel.y[nb])
-            phi = linalg.ridge_solve(U, V, alpha)
-            out[qi] = (linalg.design(Q[qi : qi + 1]) @ phi)[0]
-        return out
-
-    return impute_on_driver(incomplete, F, predict)
+    n_loc = min(rel.n, max(rel.X.shape[1] + 2, int(np.ceil(span * rel.n))))
+    out = np.empty(len(Q))
+    for qi, (nb, d) in enumerate(zip(*knn_blocked(rel, Q, n_loc))):
+        dmax = d[-1] if d[-1] > 0 else 1.0
+        w = (1.0 - np.minimum(d / dmax, 1.0) ** 3) ** 3
+        w = np.maximum(w, 1e-9)
+        Xd = linalg.design(rel.X[nb])
+        W = w[:, None]
+        U = Xd.T @ (W * Xd)
+        V = Xd.T @ (w * rel.y[nb])
+        phi = linalg.ridge_solve(U, V, alpha)
+        out[qi] = (linalg.design(Q[qi : qi + 1]) @ phi)[0]
+    return out
 
 
 def _bayes_draw(rel, alpha: float, seed: int) -> tuple[np.ndarray, float]:
@@ -83,43 +70,34 @@ def _bayes_draw(rel, alpha: float, seed: int) -> tuple[np.ndarray, float]:
 
 def blr_impute(
     spark: SparkSession,
-    r: DataFrame,
-    incomplete: DataFrame,
-    F: Sequence[str],
-    A_x: str,
+    rel: Relation,
+    ids: np.ndarray,
+    Q: np.ndarray,
     *,
     alpha: float = linalg.DEFAULT_ALPHA,
     seed: int = 0,
-) -> pd.DataFrame:
+) -> np.ndarray:
     """Bayesian linear regression (mice.norm): posterior-draw parameters,
     predict, add a residual-scale noise draw per imputed value.
 
     The per-value noise is seeded by row id so the result is
     deterministic under any partitioning.
     """
-    rel = collect_relation(r, F, A_x)
     beta_star, sigma = _bayes_draw(rel, alpha, seed)
-
-    def predict(ids: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        noise = np.array(
-            [np.random.default_rng(seed + 7919 * int(i)).standard_normal() for i in ids]
-        )
-        return linalg.design(Q) @ beta_star + sigma * noise
-
-    return impute_on_driver(incomplete, F, predict)
+    noise = np.array([np.random.default_rng(seed + 7919 * int(i)).standard_normal() for i in ids])
+    return linalg.design(Q) @ beta_star + sigma * noise
 
 
 def pmm_impute(
     spark: SparkSession,
-    r: DataFrame,
-    incomplete: DataFrame,
-    F: Sequence[str],
-    A_x: str,
+    rel: Relation,
+    ids: np.ndarray,
+    Q: np.ndarray,
     *,
     donors: int = 5,
     alpha: float = linalg.DEFAULT_ALPHA,
     seed: int = 0,
-) -> pd.DataFrame:
+) -> np.ndarray:
     """Predictive mean matching (mice.pmm): predict y-hat for queries with
     a posterior-draw regression and for the complete tuples with the OLS
     fit; impute a randomly chosen *observed* value among the ``donors``
@@ -128,42 +106,35 @@ def pmm_impute(
     Each draw is seeded by row id, so the result is deterministic under
     any partitioning. The donors are ranked by (gap, position), KNN_BLOCK
     queries at a time."""
-    rel = collect_relation(r, F, A_x)
     beta_star, _ = _bayes_draw(rel, alpha, seed)
     Xd = linalg.design(rel.X)
     U = Xd.T @ Xd + alpha * np.eye(Xd.shape[1])
     beta_hat = np.linalg.solve(U, Xd.T @ rel.y)
     yhat_obs = Xd @ beta_hat
-
-    def predict(ids: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        yq = linalg.design(Q) @ beta_star
-        out = np.empty(len(Q))
-        for s in range(0, len(Q), KNN_BLOCK):
-            cand = argsort_rows(np.abs(yhat_obs - yq[s:s + KNN_BLOCK, None]), upto=donors)
-            for qi, c in zip(range(s, len(Q)), cand):
-                rng = np.random.default_rng(seed + 104729 * int(ids[qi]))
-                out[qi] = rel.y[int(rng.choice(c))]
-        return out
-
-    return impute_on_driver(incomplete, F, predict)
+    yq = linalg.design(Q) @ beta_star
+    out = np.empty(len(Q))
+    for s in range(0, len(Q), KNN_BLOCK):
+        cand = argsort_rows(np.abs(yhat_obs - yq[s:s + KNN_BLOCK, None]), upto=donors)
+        for qi, c in zip(range(s, len(Q)), cand):
+            rng = np.random.default_rng(seed + 104729 * int(ids[qi]))
+            out[qi] = rel.y[int(rng.choice(c))]
+    return out
 
 
 def eracer_impute(
     spark: SparkSession,
-    r: DataFrame,
-    incomplete: DataFrame,
-    F: Sequence[str],
-    A_x: str,
+    rel: Relation,
+    ids: np.ndarray,
+    Q: np.ndarray,
     *,
     k: int = 10,
     alpha: float = linalg.DEFAULT_ALPHA,
-) -> pd.DataFrame:
+) -> np.ndarray:
     """ERACER-style relational regression: A_x modeled linearly from the
     tuple's own F *and* its neighbors' aggregated attributes (means of
     F and of A_x over the k nearest complete neighbors) — the g+h
     combination of Figure 2. Simplification of the full ERACER graphical
     model documented in DESIGN.md."""
-    rel = collect_relation(r, F, A_x)
     if rel.n < 2:
         raise ValueError(f"ERACER needs at least 2 complete tuples, r has {rel.n}")
     # training features: neighbors exclude self so y never leaks directly
@@ -172,10 +143,6 @@ def eracer_impute(
     nb_y = rel.y[idx].mean(axis=1)
     feats = np.hstack([rel.X, nb_F, nb_y[:, None]])
     phi = linalg.ridge_fit(feats, rel.y, alpha)
-
-    def predict(_, Q: np.ndarray) -> np.ndarray:
-        qidx = knn_blocked(rel, Q, idx.shape[1])[0]
-        qf = np.hstack([Q, rel.X[qidx].mean(axis=1), rel.y[qidx].mean(axis=1)[:, None]])
-        return linalg.design(qf) @ phi
-
-    return impute_on_driver(incomplete, F, predict)
+    qidx = knn_blocked(rel, Q, idx.shape[1])[0]
+    qf = np.hstack([Q, rel.X[qidx].mean(axis=1), rel.y[qidx].mean(axis=1)[:, None]])
+    return linalg.design(qf) @ phi

@@ -9,14 +9,16 @@ Each tuple then keeps the candidate model with the lowest accumulated
 validation cost. Fixed-l learning (Algorithm 1) is the same pipeline
 with the one-point grid {l} and nothing to validate.
 
-This is the only learner of the broadcast engine. The relation r is
-collected and broadcast once. The driver computes every tuple's k
-nearest neighbors within r (the validation assignments, adaptive l
+This is the only learner of the broadcast engine. It takes r collected
+(by the method registry for one-shot imputation, by :func:`learn_all`
+for learn-once callers) and broadcasts it once. The driver computes
+every tuple's k nearest neighbors within r (the validation assignments, adaptive l
 only) and, for one-shot imputation, the incomplete tuples' k nearest
 complete tuples (Algorithm 2), both with :func:`repro.core.nn.knn_blocked`.
 It inverts the validation assignments into reverse-kNN sets over all n
-tuples (n*k ids — tiny); one Spark pass fans the candidate sweep out over
-executors. There the block kernel :func:`_sweep_block` handles
+tuples (n*k ids — tiny); one RDD map over blocks of positions fans the
+candidate sweep out over executors and collects its (phi, l_star) arrays
+in block order. There the block kernel :func:`_sweep_block` handles
 SWEEP_BLOCK tuples per call: one distance GEMM, one (distance, id)
 ranking by :func:`repro.core.nn.argsort_rows`, the incremental prefix
 computation of Proposition 3 as segment Gram matrices, a cumulative sum
@@ -37,7 +39,7 @@ distributed implementation exactly.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
@@ -145,38 +147,34 @@ def _sweep_block(
 
 def _sweep(
     spark: SparkSession,
-    b,
+    rel: Relation,
     positions: np.ndarray,
     grid: np.ndarray,
     val: tuple[np.ndarray, np.ndarray],
     alpha: float,
     incremental: bool,
-) -> DataFrame:
+) -> tuple[np.ndarray, np.ndarray]:
     """The block kernel :func:`_sweep_block` over the tuples at
-    ``positions``, fanned out over executors, SWEEP_BLOCK tuples per
-    call. Returns ``(row_id, phi, l_star)``."""
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        rv: Relation = b.value
-        for pdf in batches:
-            pos = pdf["pos"].to_numpy(np.int64)
-            parts = [
-                _sweep_block(rv, pos[s:s + SWEEP_BLOCK], grid, val, alpha, incremental)
-                for s in range(0, len(pos), SWEEP_BLOCK)
-            ]
-            if parts:
-                phi, l_star = (np.concatenate(a) for a in zip(*parts))
-                yield pd.DataFrame({ID: rv.ids[pos], "phi": phi.tolist(), "l_star": l_star})
-
-    src = spark.createDataFrame(pd.DataFrame({"pos": np.asarray(positions, np.int64)}), "pos long")
-    return src.mapInPandas(run, ADAPTIVE_SCHEMA)
+    ``positions``, SWEEP_BLOCK tuples per call: r is broadcast once and one
+    RDD map over the position blocks runs the kernel on executors. Returns
+    (phi, l_star) in ``positions`` order."""
+    if not len(positions):  # no query, so no model to learn
+        return np.empty((0, rel.X.shape[1] + 1)), np.empty(0, dtype=np.int64)
+    blocks = [positions[s:s + SWEEP_BLOCK] for s in range(0, len(positions), SWEEP_BLOCK)]
+    b = spark.sparkContext.broadcast(rel)
+    try:
+        parts = spark.sparkContext.parallelize(blocks).map(
+            lambda pos: _sweep_block(b.value, pos, grid, val, alpha, incremental)
+        ).collect()
+    finally:
+        b.destroy()
+    phi, l_star = zip(*parts)
+    return np.concatenate(phi), np.concatenate(l_star)
 
 
 def adaptive_models(
     spark: SparkSession,
-    r: DataFrame,
-    F: Sequence[str],
-    A_x: str,
+    rel: Relation,
     queries: np.ndarray | None = None,
     *,
     k: int = 10,
@@ -185,17 +183,15 @@ def adaptive_models(
     alpha: float = linalg.DEFAULT_ALPHA,
     incremental: bool = True,
     l: int | None = None,
-) -> tuple[Relation, DataFrame, np.ndarray | None]:
-    """Algorithm 3 (or, with ``l`` set, Algorithm 1) for the models that
-    imputing ``queries`` (the F values of the incomplete tuples) reads —
-    every complete tuple when ``queries`` is None.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Algorithm 3 (or, with ``l`` set, Algorithm 1) on the collected r for
+    the models that imputing ``queries`` (the F values of the incomplete
+    tuples) reads — every complete tuple when ``queries`` is None.
 
-    Collects and broadcasts r once and returns the collected Relation,
-    the (lazy) ``(row_id, phi, l_star)`` models of the swept tuples and
-    the positions of each query's k nearest tuples of r.
+    Returns the swept positions of r (ascending), their ``phi`` and
+    ``l_star`` in that order, and the positions of each query's k nearest
+    tuples of r.
     """
-    rel = collect_relation(r, F, A_x)
-    b = spark.sparkContext.broadcast(rel)
     if l is None:
         grid = linalg.make_grid(rel.n, h or auto_step(rel.n, l_max), l_max)
         val = _reverse_validation(self_knn(rel, k))
@@ -204,7 +200,18 @@ def adaptive_models(
         val = np.zeros(rel.n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
     query_nn = None if queries is None else knn_blocked(rel, queries, k)[0]
     positions = np.arange(rel.n) if query_nn is None else np.unique(query_nn)
-    return rel, _sweep(spark, b, positions, grid, val, alpha, incremental), query_nn
+    return (positions, *_sweep(spark, rel, positions, grid, val, alpha, incremental), query_nn)
+
+
+def learn_all(spark: SparkSession, r: DataFrame, F: Sequence[str], A_x: str, **kw) -> DataFrame:
+    """Collect r and learn every tuple's model with :func:`adaptive_models`
+    (``kw``: its options). Returns ``(row_id, phi, l_star)`` as a Spark
+    DataFrame, for the learn-once callers."""
+    rel = collect_relation(r, F, A_x)
+    _, phi, l_star, _ = adaptive_models(spark, rel, **kw)
+    return spark.createDataFrame(
+        pd.DataFrame({ID: rel.ids, "phi": phi.tolist(), "l_star": l_star}), ADAPTIVE_SCHEMA
+    )
 
 
 def adaptive_learn(
@@ -228,10 +235,7 @@ def adaptive_learn(
     straightforward baseline of Table III / Fig. 12); results are
     identical, only slower — asserted by tests.
     """
-    _, models, _ = adaptive_models(
-        spark, r, F, A_x, k=k, h=h, l_max=l_max, alpha=alpha, incremental=incremental
-    )
-    return models
+    return learn_all(spark, r, F, A_x, k=k, h=h, l_max=l_max, alpha=alpha, incremental=incremental)
 
 
 def adaptive_reference(

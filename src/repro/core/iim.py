@@ -14,16 +14,17 @@ candidates get more weight; the all-equal case degenerates to uniform
 weights, which keeps Propositions 1-2 exact).
 
 Learning is :mod:`repro.core.adaptive`'s pipeline (fixed l is its
-one-point grid): r is collected and broadcast once and executors sweep
-the candidate models. Imputation runs on the driver through
-:func:`impute_on_driver`, the tail every method shares: the incomplete
-tuples' kNN in blocks, then the vote, returned as a pandas frame.
+one-point grid): r is broadcast once and executors sweep the candidate
+models, returning them as arrays. Imputation runs on the driver: the
+incomplete tuples' kNN in blocks, then the vote. :func:`iim_impute`, like
+every method, computes on the arrays that the registry
+(:class:`repro.baselines.Method`) collects.
 :mod:`repro.core.sql_engine` states both phases as Catalyst plans; the
 tests hold this module to it.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
@@ -31,8 +32,8 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from . import linalg
-from .adaptive import adaptive_models
-from .nn import ID, collect_relation, knn_blocked
+from .adaptive import adaptive_models, learn_all
+from .nn import ID, Relation, collect_queries, collect_relation, knn_blocked
 
 IMPUTED_SCHEMA = StructType(
     [
@@ -59,8 +60,7 @@ def learn_models(
     Returns a DataFrame ``(row_id, phi)`` where ``phi`` is the
     (1+|F|)-vector [intercept, slopes...] of t_i's individual model.
     """
-    _, models, _ = adaptive_models(spark, r, F, A_x, alpha=alpha, l=l)
-    return models.select(ID, "phi")
+    return learn_all(spark, r, F, A_x, alpha=alpha, l=l).select(ID, "phi")
 
 
 # --------------------------------------------------------------- combining
@@ -112,7 +112,7 @@ def impute(
     """Algorithm 2: impute ``incomplete[A_x]`` from the individual models.
 
     Returns a Spark DataFrame ``(row_id, imputed)``, one row per incomplete
-    tuple: unlike :func:`iim_impute`, which returns the driver tail's pandas
+    tuple: unlike the registry's ``METHODS["IIM"]``, which returns a pandas
     frame, it keeps a DataFrame because ``iimbench/`` calls ``.toPandas()`` on it.
     """
     rel = collect_relation(r, F, A_x)
@@ -120,33 +120,9 @@ def impute(
     if not np.array_equal(mp[ID].to_numpy(np.int64), rel.ids):
         raise ValueError("models must cover exactly the complete relation r")
     Phi = np.array(mp["phi"].tolist(), dtype=np.float64)  # aligned with rel rows
-    imputed = impute_on_driver(
-        incomplete, F, lambda _, Q: _vote(Q, Phi, knn_blocked(rel, Q, k)[0], weighting)
-    )
-    return spark.createDataFrame(imputed, IMPUTED_SCHEMA)
-
-
-def impute_on_driver(
-    incomplete: DataFrame,
-    F: Sequence[str],
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> pd.DataFrame:
-    """The imputation tail of every method: IIM and the 13 baselines.
-
-    Collects ``(row_id, F)`` of the incomplete tuples in id order, computes
-    ``fn(ids, Q)`` on the driver (Q: their F values, one row per id) and
-    returns the pandas frame ``(row_id, imputed)`` in ascending id order.
-    Each tuple is imputed on its own (Algorithm 2), so the result does not
-    depend on how ``incomplete`` is partitioned. Raises ValueError on
-    NaN/inf F values or repeated row ids.
-    """
-    qp = incomplete.select(ID, *F).toPandas().sort_values(ID)
-    ids, Q = qp[ID].to_numpy(np.int64), qp[list(F)].to_numpy(np.float64)
-    if not np.isfinite(Q).all():
-        raise ValueError(f"NaN or infinite values in the incomplete tuples' {list(F)}")
-    if (np.diff(ids) == 0).any():
-        raise ValueError(f"duplicate {ID} values in the incomplete tuples")
-    return pd.DataFrame({ID: ids, "imputed": np.asarray(fn(ids, Q), dtype=np.float64)})
+    ids, Q = collect_queries(incomplete, F)
+    imputed = _vote(Q, Phi, knn_blocked(rel, Q, k)[0], weighting)
+    return spark.createDataFrame(pd.DataFrame({ID: ids, "imputed": imputed}), IMPUTED_SCHEMA)
 
 
 def _vote(Q: np.ndarray, Phi: np.ndarray, nn: np.ndarray, weighting: str) -> np.ndarray:
@@ -162,10 +138,9 @@ def _vote(Q: np.ndarray, Phi: np.ndarray, nn: np.ndarray, weighting: str) -> np.
 
 def iim_impute(
     spark: SparkSession,
-    r: DataFrame,
-    incomplete: DataFrame,
-    F: Sequence[str],
-    A_x: str,
+    rel: Relation,
+    ids: np.ndarray,
+    Q: np.ndarray,
     *,
     k: int = 10,
     l: int | None = None,
@@ -173,31 +148,23 @@ def iim_impute(
     l_max: int | None = None,
     alpha: float = linalg.DEFAULT_ALPHA,
     weighting: str = "vote",
-) -> pd.DataFrame:
-    """One-shot IIM: learn (fixed-l or adaptive) then impute.
+) -> np.ndarray:
+    """One-shot IIM on the collected r: learn (fixed-l or adaptive) then
+    impute the queries ``Q``. Called through the registry, ``METHODS["IIM"]``.
 
     ``l`` set -> fixed-l Algorithm 1; otherwise adaptive Algorithm 3
     (the paper's recommended mode) with stepping ``h`` (auto if None).
 
-    Learning is demand-driven: r is collected and broadcast once, the
-    driver finds the incomplete tuples' k nearest complete tuples (and,
-    for adaptive l, every complete tuple's validation neighbors), and the
-    candidate sweep runs on executors only for the union of the former —
-    the only models Algorithm 2 reads. Their l* and
-    phi are those of full learning, so the imputations are too. To learn
-    every model once and impute many query batches, call
-    :func:`learn_models` or :func:`repro.core.adaptive.adaptive_learn`
-    and then :func:`impute`.
+    Learning is demand-driven: r is broadcast once, the driver finds the
+    incomplete tuples' k nearest complete tuples (and, for adaptive l,
+    every complete tuple's validation neighbors), and the candidate sweep
+    runs on executors only for the union of the former — the only models
+    Algorithm 2 reads. Their l* and phi are those of full learning, so the
+    imputations are too. To learn every model once and impute many query
+    batches, call :func:`learn_models` or
+    :func:`repro.core.adaptive.adaptive_learn` and then :func:`impute`.
     """
-    def learn_and_vote(_, Q: np.ndarray) -> np.ndarray:
-        rel, models, nn = adaptive_models(
-            spark, r, F, A_x, Q, k=k, h=h, l_max=l_max, alpha=alpha, l=l
-        )
-        mp = models.toPandas()
-        Phi = np.full((rel.n, len(F) + 1), np.nan)  # rows no query reads stay NaN
-        Phi[np.searchsorted(rel.ids, mp[ID].to_numpy(np.int64))] = np.array(
-            mp["phi"].tolist(), dtype=np.float64
-        ).reshape(len(mp), len(F) + 1)
-        return _vote(Q, Phi, nn, weighting)
-
-    return impute_on_driver(incomplete, F, learn_and_vote)
+    pos, phi, _, nn = adaptive_models(spark, rel, Q, k=k, h=h, l_max=l_max, alpha=alpha, l=l)
+    Phi = np.full((rel.n, phi.shape[1]), np.nan)  # rows no query reads stay NaN
+    Phi[pos] = phi
+    return _vote(Q, Phi, nn, weighting)

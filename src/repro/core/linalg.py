@@ -10,7 +10,7 @@ that computation for a block of tuples at once and
 kernel); :func:`prefix_params` is its one-tuple form.
 
 All functions are pure numpy so they can run inside Spark python
-workers (mapInPandas) as well as on the driver.
+workers (the adaptive sweep's RDD map) as well as on the driver.
 """
 from __future__ import annotations
 

@@ -1,11 +1,16 @@
 """Nearest-neighbor search over the complete relation r, on the driver.
 
+:func:`collect_relation` and :func:`collect_queries` turn r and the
+incomplete tuples (Spark or pandas frames) into id-ordered arrays; the
+method registry (:class:`repro.baselines.Method`) is their one caller on
+the imputation path, so every method computes on arrays.
+
 Every distance is the paper's Formula 1 (root mean squared difference
 over the complete attributes F; the 1/|F| factor does not change the
 ranking but is kept so distances match the paper's examples).
 :func:`knn_blocked` on a collected :class:`Relation` is the one kNN entry
 point, used by IIM, kNN, kNNE, ERACER, LOESS and ILLS: vectorized numpy
-kNN against a collected copy of r in KNN_BLOCK-row blocks;
+kNN against a collected copy of r in zero-padded KNN_BLOCK-row blocks;
 :func:`knn_numpy` is its one-call form on bare matrices. It is exact but
 ranks only the entries that can be neighbors: a row's k-th smallest
 squared distance over a strided sample of the columns bounds its true k-th
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 
 
@@ -105,11 +111,12 @@ def _ranks(ids: np.ndarray) -> np.ndarray:
 
 
 def _knn(
-    Q: np.ndarray, R: np.ndarray, rn: np.ndarray, k: int, rank: np.ndarray, ex: np.ndarray | None
+    S: np.ndarray, m: int, k: int, rank: np.ndarray, ex: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`knn_numpy` for ``k <= n``, given R's squared norms ``rn``, the
-    :func:`_ranks` of r's ids and the position ``ex`` (-1: none) of each
-    query's excluded row.
+    """:func:`knn_numpy` for ``k <= n``, given the queries' squared
+    distances ``S`` to r over m attributes (:func:`_sq_dist`; overwritten),
+    the :func:`_ranks` of r's ids and the position ``ex`` (-1: none) of
+    each query's excluded row.
 
     Every row's candidates are the entries whose squared distance S is at
     most tau = max(t, 0)(1 + 2^-20) + 2^-1000, where t is the k-th smallest
@@ -129,13 +136,12 @@ def _knn(
     D(s) > D(t). Hence an entry with D <= D(t) has S <= tau. Rows whose
     sample has at most k columns (n <= 8k) are ranked in full.
     """
-    S = _sq_dist(Q, R, rn)
     rows = np.arange(len(S))
     if ex is not None:
         hit = ex >= 0
         S[rows[hit], ex[hit]] = np.inf
     if S.shape[1] <= _SAMPLE_STRIDE * k:
-        d = _formula1(S, Q.shape[1])
+        d = _formula1(S, m)
         order = argsort_rows(d, rank, k)
         return order, np.take_along_axis(d, order, axis=1)
     t = np.partition(S[:, ::_SAMPLE_STRIDE], k - 1, axis=1)[:, k - 1]
@@ -148,7 +154,7 @@ def _knn(
     col = np.zeros((len(S), cnt.max(initial=k)), dtype=np.int64)
     col[qi, slot] = flat - qi * S.shape[1]
     d = np.full(col.shape, np.inf)
-    d[qi, slot] = _formula1(S.ravel()[flat], Q.shape[1])
+    d[qi, slot] = _formula1(S.ravel()[flat], m)
     order = argsort_rows(d, rank[col], k)
     return np.take_along_axis(col, order, axis=1), np.take_along_axis(d, order, axis=1)
 
@@ -175,7 +181,7 @@ def knn_numpy(
     if r_ids is None:
         r_ids = np.arange(len(R))
     ex = None if exclude_ids is None else _positions(r_ids, exclude_ids)
-    return _knn(Q, R, (R**2).sum(1), min(k, len(R)), _ranks(r_ids), ex)
+    return _knn(_sq_dist(Q, R, (R**2).sum(1)), Q.shape[1], min(k, len(R)), _ranks(r_ids), ex)
 
 
 @dataclass(frozen=True)
@@ -191,16 +197,21 @@ class Relation:
         return len(self.ids)
 
 
-def collect_relation(df: DataFrame, F: Sequence[str], A_x: str) -> Relation:
-    """Collect (id, F, A_x) columns of a Spark relation into numpy arrays,
-    sorted by id for determinism.
+def _sorted_frame(df: DataFrame | pd.DataFrame, cols: list[str]) -> pd.DataFrame:
+    """The columns ``cols`` of a Spark or pandas frame, as pandas, in id order."""
+    pdf = df[cols] if isinstance(df, pd.DataFrame) else df.select(*cols).toPandas()
+    return pdf.sort_values(ID)
+
+
+def collect_relation(df: DataFrame | pd.DataFrame, F: Sequence[str], A_x: str) -> Relation:
+    """Collect (id, F, A_x) columns of a relation (Spark or pandas) into
+    numpy arrays, sorted by id for determinism.
 
     Raises ValueError on NaN/inf values or duplicate ids: the adaptive
     sweep ranks distance ties by position, which is the (distance, id)
     rule only because the ids come out unique and ascending.
     """
-    cols = [ID, *F] + ([A_x] if A_x not in F else [])
-    pdf = df.select(*cols).toPandas().sort_values(ID)
+    pdf = _sorted_frame(df, [ID, *F] + ([A_x] if A_x not in F else []))
     rel = Relation(
         ids=pdf[ID].to_numpy(np.int64),
         X=pdf[list(F)].to_numpy(np.float64),
@@ -213,6 +224,24 @@ def collect_relation(df: DataFrame, F: Sequence[str], A_x: str) -> Relation:
     return rel
 
 
+def collect_queries(
+    df: DataFrame | pd.DataFrame, F: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Collect the incomplete tuples (Spark or pandas) as ``(ids, Q)``:
+    their row ids in ascending order and their F values, one row per id.
+
+    Raises ValueError on NaN/inf F values or repeated ids, so no query is
+    imputed from garbage neighbors (a NaN distance sorts last).
+    """
+    pdf = _sorted_frame(df, [ID, *F])
+    ids, Q = pdf[ID].to_numpy(np.int64), pdf[list(F)].to_numpy(np.float64)
+    if not np.isfinite(Q).all():
+        raise ValueError(f"NaN or infinite values in the incomplete tuples' {list(F)}")
+    if (np.diff(ids) == 0).any():
+        raise ValueError(f"duplicate {ID} values in the incomplete tuples")
+    return ids, Q
+
+
 def knn_blocked(
     rel: Relation, X: np.ndarray, k: int, own_ids: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -220,15 +249,23 @@ def knn_blocked(
     ``X``, nearest first, as :func:`knn_numpy` returns them, in KNN_BLOCK-row
     blocks, so at most KNN_BLOCK x n distances are held at once. r's squared
     norms, id ranks and the excluded positions are computed once per call.
-    ``own_ids`` (aligned with X) excludes each row's own tuple."""
+    ``own_ids`` (aligned with X) excludes each row's own tuple.
+
+    Every block's distance GEMM is zero-padded to KNN_BLOCK rows, as the
+    sweep's is to SWEEP_BLOCK: a GEMM's rounding depends on its row count,
+    and a row's neighbors must not depend on how many rows share its call."""
     X = np.asarray(X, dtype=np.float64)
     k = min(k, rel.n)
     rn, rank = (rel.X**2).sum(1), _ranks(rel.ids)
     ex = None if own_ids is None else _positions(rel.ids, own_ids)
     pos, dist = np.empty((len(X), k), dtype=np.int64), np.empty((len(X), k))
     for s in range(0, len(X), KNN_BLOCK):
-        blk = slice(s, s + KNN_BLOCK)
-        pos[blk], dist[blk] = _knn(X[blk], rel.X, rn, k, rank, None if ex is None else ex[blk])
+        blk, B = slice(s, s + KNN_BLOCK), min(KNN_BLOCK, len(X) - s)
+        Q = np.zeros((KNN_BLOCK, X.shape[1]))
+        Q[:B] = X[blk]
+        pos[blk], dist[blk] = _knn(
+            _sq_dist(Q, rel.X, rn)[:B], X.shape[1], k, rank, None if ex is None else ex[blk]
+        )
     return pos, dist
 
 

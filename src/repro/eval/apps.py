@@ -50,22 +50,18 @@ def fill_masked(
     if complete_pdf.empty:
         raise ValueError("no complete tuples to learn from")
     means = complete_pdf[attrs].mean()
-    r_df = spark.createDataFrame(complete_pdf[[ID] + attrs]).cache()
-    try:
-        for a in attrs:
-            miss = masked[masked[a].isna()]
-            if miss.empty:
-                continue
-            F = [c for c in attrs if c != a]
-            if spec.requires_multivariate and len(F) < 2:
-                return None
-            queries = miss[[ID] + F].fillna(means[F].to_dict())
-            out = spec.fn(spark, r_df, spark.createDataFrame(queries), F, a, **params)
-            vals = dict(zip(out[ID], out["imputed"]))
-            idx = filled[ID].isin(vals)
-            filled.loc[idx, a] = filled.loc[idx, ID].map(vals)
-    finally:
-        r_df.unpersist()
+    for a in attrs:
+        miss = masked[masked[a].isna()]
+        if miss.empty:
+            continue
+        F = [c for c in attrs if c != a]
+        if spec.requires_multivariate and len(F) < 2:
+            return None
+        queries = miss[[ID] + F].fillna(means[F].to_dict())
+        out = spec(spark, complete_pdf, queries, F, a, **params)
+        vals = dict(zip(out[ID], out["imputed"]))
+        idx = filled[ID].isin(vals)
+        filled.loc[idx, a] = filled.loc[idx, ID].map(vals)
     return filled
 
 

@@ -105,7 +105,7 @@ def impute_with(
     for g in exp.groups:
         if spec.requires_multivariate and len(g.F) < 2:
             return None
-        out = spec.fn(spark, exp.complete, g.incomplete, g.F, g.A_x, **params)
+        out = spec(spark, exp.complete, g.incomplete, g.F, g.A_x, **params)
         frames.append(out.assign(attr=g.A_x)[[ID, "attr", "imputed"]])
     return pd.concat(frames, ignore_index=True)
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import adaptive, iim, linalg
+from repro.baselines import METHODS
+from repro.core import adaptive, linalg
 from repro.core.adaptive import adaptive_learn, adaptive_reference
 from repro.core.nn import Relation, collect_relation, self_knn
 
@@ -109,7 +110,7 @@ def test_adaptive_beats_bad_fixed_l(spark):
     q = spark.createDataFrame(truth[["row_id", "A1"]])
 
     def rms_for(**kw):
-        got = iim.iim_impute(spark, r, q, ["A1"], "A_y", k=5, **kw).set_index("row_id")
+        got = METHODS["IIM"](spark, r, q, ["A1"], "A_y", k=5, **kw).set_index("row_id")
         e = got.loc[truth["row_id"], "imputed"].to_numpy() - truth["A_y"].to_numpy()
         return float(np.sqrt((e**2).mean()))
 

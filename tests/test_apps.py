@@ -27,6 +27,20 @@ class TestFillMasked:
         filled = apps.fill_masked(spark, pdf, attributes("MAM"), "kNN", k=3)
         assert filled["label"].equals(pdf["label"])
 
+    def test_knn_fill_runs_no_spark_job(self, spark):
+        """The masked pandas frame reaches the method as it is: filling
+        every hole with kNN runs no Spark job."""
+        pdf = generate("MAM", n=120)
+        attrs = attributes("MAM")
+        sc = spark.sparkContext
+        sc.setJobGroup("fill-traffic", "fill_masked with kNN")
+        try:
+            filled = apps.fill_masked(spark, pdf, attrs, "kNN", k=3)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert not filled[attrs].isna().any().any()
+        assert sc.statusTracker().getJobIdsForGroup("fill-traffic") == []
+
     def test_multivariate_method_unavailable_on_2attrs(self, spark):
         pdf = generate("SN", n=80)
         pdf.loc[pdf.index[:5], "A2"] = np.nan

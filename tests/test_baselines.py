@@ -37,7 +37,7 @@ def linear_data(spark):
 
 def _run(spark, name, data, **params):
     pdf, r, q_pdf, q, _ = data
-    return METHODS[name].fn(spark, r, q, ["A1", "A2"], "A3", **params)["imputed"].to_numpy()
+    return METHODS[name](spark, r, q, ["A1", "A2"], "A3", **params)["imputed"].to_numpy()
 
 
 ALL = list(METHODS)
@@ -61,22 +61,26 @@ def test_every_method_is_deterministic(spark, linear_data, name):
 def test_every_method_is_invariant_to_partitioning(spark, linear_data, name):
     """A method's output is a function of its inputs and seed only: r and
     the queries in one partition, or in seven with the query rows
-    reversed, impute the same values, bit for bit. The result is a pandas
-    frame of exactly (row_id, imputed), one row per query in ascending id
-    order."""
+    reversed, or the queries split over two calls (odd and even ids), or
+    the first query alone, impute the same values, bit for bit. The result
+    is a pandas frame of exactly (row_id, imputed), one row per query in
+    ascending id order."""
     pdf, _, q_pdf, _, _ = linear_data
 
     def run(parts, queries):
         r = spark.createDataFrame(pdf).repartition(parts)
         q = spark.createDataFrame(queries).repartition(parts)
-        out = METHODS[name].fn(spark, r, q, ["A1", "A2"], "A3", **METHODS[name].params())
+        out = METHODS[name](spark, r, q, ["A1", "A2"], "A3", **METHODS[name].params())
         assert isinstance(out, pd.DataFrame)
         assert list(out.columns) == ["row_id", "imputed"]
-        np.testing.assert_array_equal(out["row_id"], np.sort(q_pdf["row_id"]))
+        np.testing.assert_array_equal(out["row_id"], np.sort(queries["row_id"]))
         return out
 
     one, seven = run(1, q_pdf), run(7, q_pdf.iloc[::-1])
     np.testing.assert_array_equal(seven["imputed"], one["imputed"])
+    split = pd.concat([run(1, q_pdf[q_pdf["row_id"] % 2 == b]) for b in (0, 1)])
+    np.testing.assert_array_equal(split.sort_values("row_id")["imputed"], one["imputed"])
+    np.testing.assert_array_equal(run(1, q_pdf[:1])["imputed"], one["imputed"][:1])
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -92,7 +96,7 @@ def test_driver_tail_rejects_bad_queries(spark, linear_data, name):
     ]
     for match, q in bad:
         with pytest.raises(ValueError, match=match):
-            METHODS[name].fn(
+            METHODS[name](
                 spark, r, spark.createDataFrame(q), ["A1", "A2"], "A3", **METHODS[name].params()
             )
 
@@ -114,7 +118,7 @@ def test_degenerate_relation_imputes_finite_values_or_fails(spark, linear_data, 
     pdf, _, q_pdf, q, _ = linear_data
     r = spark.createDataFrame(DEGENERATE[case](pdf))
     try:
-        out = METHODS[name].fn(spark, r, q, ["A1", "A2"], "A3", **METHODS[name].params())
+        out = METHODS[name](spark, r, q, ["A1", "A2"], "A3", **METHODS[name].params())
     except ValueError:
         return
     assert len(out) == len(q_pdf)
@@ -123,7 +127,7 @@ def test_degenerate_relation_imputes_finite_values_or_fails(spark, linear_data, 
 
 def test_gmm_on_one_tuple_imputes_its_value(spark, linear_data):
     pdf, _, _, q, _ = linear_data
-    got = METHODS["GMM"].fn(spark, spark.createDataFrame(pdf[:1]), q, ["A1", "A2"], "A3")
+    got = METHODS["GMM"](spark, spark.createDataFrame(pdf[:1]), q, ["A1", "A2"], "A3")
     np.testing.assert_allclose(got["imputed"], pdf["A3"].iloc[0])
 
 
@@ -144,7 +148,7 @@ def test_regression_capable_methods_fit_linear_data(spark, linear_data, name):
 class TestMean:
     def test_oracle(self, spark, linear_data):
         pdf, r, q_pdf, q, _ = linear_data
-        out = METHODS["Mean"].fn(spark, r, q, ["A1", "A2"], "A3")
+        out = METHODS["Mean"](spark, r, q, ["A1", "A2"], "A3")
         assert_equivalent(
             out,
             "SELECT q.row_id AS row_id, (SELECT AVG(A3) FROM r) AS imputed FROM q",
@@ -206,8 +210,8 @@ class TestKNNE:
         q = spark.createDataFrame(
             pd.DataFrame({"row_id": [99, 100], "A1": [0.3, -0.7]})
         )
-        a = METHODS["kNNE"].fn(spark, r, q, ["A1"], "A2", k=4)
-        b = METHODS["kNN"].fn(spark, r, q, ["A1"], "A2", k=4)
+        a = METHODS["kNNE"](spark, r, q, ["A1"], "A2", k=4)
+        b = METHODS["kNN"](spark, r, q, ["A1"], "A2", k=4)
         j = a.merge(b, on="row_id", suffixes=("_e", "_k"))
         np.testing.assert_allclose(j["imputed_e"], j["imputed_k"], atol=1e-9)
 
@@ -227,7 +231,7 @@ class TestGLR:
         q_pdf = pd.DataFrame({"row_id": [7, 8], "A1": [0.25, -1.0]})
         r = spark.createDataFrame(pdf)
         q = spark.createDataFrame(q_pdf)
-        out = METHODS["GLR"].fn(spark, r, q, ["A1"], "A2", alpha=1e-9)
+        out = METHODS["GLR"](spark, r, q, ["A1"], "A2", alpha=1e-9)
         sql = """
             SELECT q.row_id AS row_id,
                    (SELECT regr_intercept(A2, A1) FROM r)
@@ -264,7 +268,7 @@ class TestClusterMethods:
     @pytest.mark.parametrize("name", ["IFC", "GMM"])
     def test_imputes_cluster_average(self, spark, clustered, name):
         pdf, r, q_pdf, q = clustered
-        out = METHODS[name].fn(spark, r, q, ["A1", "A2"], "A3", c=2)
+        out = METHODS[name](spark, r, q, ["A1", "A2"], "A3", c=2)
         np.testing.assert_allclose(
             out["imputed"].to_numpy(), [5.0, 50.0], atol=1.5
         )
@@ -301,7 +305,7 @@ class TestERACER:
             pdf, _, q_pdf, q, truth = linear_data
             pdf = pdf.assign(A1=np.round(pdf["A1"]), A2=np.round(pdf["A2"]))
             linear_data = (pdf, spark.createDataFrame(pdf), q_pdf, q, truth)
-        monkeypatch.setattr(nn, "KNN_BLOCK", 10**6)
+        monkeypatch.setattr(nn, "KNN_BLOCK", len(linear_data[0]))
         whole = _run(spark, "ERACER", linear_data)
         monkeypatch.setattr(nn, "KNN_BLOCK", 7)
         np.testing.assert_array_equal(_run(spark, "ERACER", linear_data), whole)

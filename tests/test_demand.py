@@ -9,6 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from pyspark.accumulators import AccumulatorParam
 
+from repro import baselines
+from repro.baselines import METHODS
 from repro.core import adaptive, iim, nn
 from repro.core.adaptive import adaptive_learn
 from repro.core.nn import ID, collect_relation, knn_numpy
@@ -38,7 +40,7 @@ def test_demand_driven_equals_full_learning(spark, name):
     exp = prepare_experiment(spark, name, n=SCALES["tiny"][name], frac=0.05, seed=0)
     try:
         for g in exp.groups:
-            got = iim.iim_impute(spark, exp.complete, g.incomplete, g.F, g.A_x, k=K)
+            got = METHODS["IIM"](spark, exp.complete, g.incomplete, g.F, g.A_x, k=K)
             want = _learn_then_impute(spark, exp.complete, g.incomplete, g.F, g.A_x, K)
             _assert_same(got, want)
     finally:
@@ -73,7 +75,7 @@ def test_demand_driven_equals_full_learning_property(spark, data):
     qpdf = pd.DataFrame(Q, columns=F)
     qpdf.insert(0, ID, np.arange(100, 100 + len(Q), dtype=np.int64))
     r, q = spark.createDataFrame(rpdf), spark.createDataFrame(qpdf)
-    got = iim.iim_impute(spark, r, q, F, "A_y", k=k, l=l, h=1)
+    got = METHODS["IIM"](spark, r, q, F, "A_y", k=k, l=l, h=1)
     if l is None:
         want = _learn_then_impute(spark, r, q, F, "A_y", k, h=1)
     else:
@@ -114,7 +116,7 @@ def test_blocked_knn_matches_knn_numpy(spark, tied, monkeypatch, k):
 def test_output_independent_of_partitioning(spark, tied):
     r, q, F = tied
     outs = [
-        iim.iim_impute(spark, r.repartition(p), q.repartition(p), F, "A_y", k=4)
+        METHODS["IIM"](spark, r.repartition(p), q.repartition(p), F, "A_y", k=4)
         for p in (1, 7)
     ]
     pd.testing.assert_frame_equal(outs[0], outs[1])
@@ -140,6 +142,7 @@ def test_one_collect_and_sweep_of_the_neighbor_union(spark, tied, monkeypatch, l
         collects.append(1)
         return real_collect(*a, **kw)
 
+    monkeypatch.setattr(baselines, "collect_relation", counting_collect)
     monkeypatch.setattr(adaptive, "collect_relation", counting_collect)
     monkeypatch.setattr(iim, "collect_relation", counting_collect)
 
@@ -156,7 +159,7 @@ def test_one_collect_and_sweep_of_the_neighbor_union(spark, tied, monkeypatch, l
             raise AssertionError("fixed l computed a self-kNN")
 
         monkeypatch.setattr(adaptive, "self_knn", no_self_knn)
-    iim.iim_impute(spark, r, q, F, "A_y", k=4, l=l)
+    METHODS["IIM"](spark, r, q, F, "A_y", k=4, l=l)
 
     assert len(collects) == 1
     rel = real_collect(r, F, "A_y")

@@ -4,6 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.baselines import METHODS
 from repro.core import iim, sql_engine
 from repro.core.iim import combine_candidates
 
@@ -174,7 +175,7 @@ class TestEndToEnd:
         ]
         r = _df(spark, rows, ["row_id", "A1", "A2"])
         q = _df(spark, [(99, 5.0)], ["row_id", "A1"])
-        out = iim.iim_impute(spark, r, q, ["A1"], "A2", k=3, l=4)
+        out = METHODS["IIM"](spark, r, q, ["A1"], "A2", k=3, l=4)
         # right-street regression predicts 0.64 + 1.11*(5-4.5) ~ 1.19-1.21
         assert abs(out["imputed"].iloc[0] - 1.3) < 0.4
 
@@ -191,13 +192,11 @@ class TestEndToEnd:
         truth = pdf.loc[mask]
         r = spark.createDataFrame(pdf.drop(mask))
         q = spark.createDataFrame(truth[["row_id", "A1"]])
-        got = iim.iim_impute(spark, r, q, ["A1"], "A2", k=5, l=8).set_index("row_id")
+        got = METHODS["IIM"](spark, r, q, ["A1"], "A2", k=5, l=8).set_index("row_id")
         iim_rms = np.sqrt(
             ((got.loc[truth["row_id"], "imputed"].to_numpy() - truth["A2"].to_numpy()) ** 2).mean()
         )
-        from repro.baselines.simple import knn_impute
-
-        knn = knn_impute(spark, r, q, ["A1"], "A2", k=5).set_index("row_id")
+        knn = METHODS["kNN"](spark, r, q, ["A1"], "A2", k=5).set_index("row_id")
         knn_rms = np.sqrt(
             ((knn.loc[truth["row_id"], "imputed"].to_numpy() - truth["A2"].to_numpy()) ** 2).mean()
         )

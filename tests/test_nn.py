@@ -318,3 +318,31 @@ def test_argsort_rows_matches_lexsort(data):
     keys = np.broadcast_to(np.arange(D.shape[1]) if tie is None else tie, D.shape)
     want = np.array([np.lexsort((t, row))[:upto] for t, row in zip(keys, D)])
     np.testing.assert_array_equal(nn.argsort_rows(D, tie, upto), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.sampled_from([4, 8, 13]),
+    seed=st.integers(0, 2**32 - 1),
+    nq=st.integers(1, 150),
+    k=st.sampled_from([1, 10]),
+    cuts=st.lists(st.integers(1, 70), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_knn_blocked_is_bitwise_independent_of_query_batching(m, seed, nq, k, cuts, data):
+    """A query's neighbors and distances do not depend on which other
+    queries share its call: the queries split into calls of any sizes, in
+    any order, get the bits of one call over all of them (in pandas'
+    column-major layout)."""
+    rng = np.random.default_rng(seed)
+    rel = nn.Relation(np.arange(300, dtype=np.int64), rng.normal(size=(300, m)) * 3.0, np.zeros(300))
+    Q = rng.normal(size=(nq, m)) * 3.0
+    whole = nn.knn_blocked(rel, np.asfortranarray(Q), k)
+    perm = np.array(data.draw(st.permutations(range(nq))))
+    pos, dist, s, i = np.empty_like(whole[0]), np.empty_like(whole[1]), 0, 0
+    while s < nq:
+        part = perm[s:s + cuts[i % len(cuts)]]
+        pos[part], dist[part] = nn.knn_blocked(rel, Q[part], k)
+        s, i = s + len(part), i + 1
+    np.testing.assert_array_equal(pos, whole[0])
+    np.testing.assert_array_equal(dist, whole[1])

@@ -4,9 +4,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.regression import glr_impute
-from repro.baselines.simple import knn_impute
-from repro.core import iim, sql_engine
+from repro.baselines import METHODS
+from repro.core import sql_engine
 
 
 def _data(spark, n, p, seed, nq=8):
@@ -30,8 +29,8 @@ def _data(spark, n, p, seed, nq=8):
 def test_proposition1_subsumes_knn(spark, seed, n, p, k):
     """l=1 + uniform candidate weights == kNN imputation (Formula 2)."""
     r, q, F, A_x = _data(spark, n, p, seed)
-    got = iim.iim_impute(spark, r, q, F, A_x, k=k, l=1, weighting="uniform")
-    ref = knn_impute(spark, r, q, F, A_x, k=k)
+    got = METHODS["IIM"](spark, r, q, F, A_x, k=k, l=1, weighting="uniform")
+    ref = METHODS["kNN"](spark, r, q, F, A_x, k=k)
     np.testing.assert_allclose(
         got["imputed"].to_numpy(), ref["imputed"].to_numpy(), atol=1e-9
     )
@@ -54,8 +53,8 @@ def test_proposition1_with_duplicate_tuples(spark, engine):
         models = sql_engine.learn_models(spark, r, F, "A3", 1)
         got = sql_engine.collect_imputed(sql_engine.impute(r, q, models, F, 4, weighting="uniform"))
     else:
-        got = iim.iim_impute(spark, r, q, F, "A3", k=4, l=1, weighting="uniform")
-    ref = knn_impute(spark, r, q, F, "A3", k=4)
+        got = METHODS["IIM"](spark, r, q, F, "A3", k=4, l=1, weighting="uniform")
+    ref = METHODS["kNN"](spark, r, q, F, "A3", k=4)
     np.testing.assert_allclose(
         got["imputed"].to_numpy(), ref["imputed"].to_numpy(), atol=1e-9
     )
@@ -67,8 +66,8 @@ def test_proposition2_subsumes_glr(spark, seed, n, p, k):
     candidates coincide (c=0 -> uniform), so IIM == GLR (Formula 4)."""
     r, q, F, A_x = _data(spark, n, p, seed)
     n_rows = r.count()
-    got = iim.iim_impute(spark, r, q, F, A_x, k=k, l=n_rows)
-    ref = glr_impute(spark, r, q, F, A_x)
+    got = METHODS["IIM"](spark, r, q, F, A_x, k=k, l=n_rows)
+    ref = METHODS["GLR"](spark, r, q, F, A_x)
     np.testing.assert_allclose(
         got["imputed"].to_numpy(), ref["imputed"].to_numpy(), rtol=1e-6, atol=1e-8
     )
@@ -79,8 +78,8 @@ def test_proposition2_holds_with_vote_weighting(spark):
     (Section III-B3 / our c=0 handling), keeping Prop. 2 exact even with
     the default vote weighting."""
     r, q, F, A_x = _data(spark, 20, 2, 6)
-    got = iim.iim_impute(spark, r, q, F, A_x, k=5, l=20, weighting="vote")
-    ref = glr_impute(spark, r, q, F, A_x)
+    got = METHODS["IIM"](spark, r, q, F, A_x, k=5, l=20, weighting="vote")
+    ref = METHODS["GLR"](spark, r, q, F, A_x)
     j = got.merge(ref, on="row_id", suffixes=("_iim", "_glr"))
     np.testing.assert_allclose(
         j["imputed_iim"].to_numpy(), j["imputed_glr"].to_numpy(), rtol=1e-6
@@ -97,8 +96,8 @@ def test_intermediate_l_differs_from_both(spark):
     pdf = pd.DataFrame({"row_id": np.arange(n, dtype=np.int64), "A1": x, "A2": y})
     r = spark.createDataFrame(pdf)
     q = spark.createDataFrame(pd.DataFrame({"row_id": [99], "A1": [1.5]}))
-    got = iim.iim_impute(spark, r, q, ["A1"], "A2", k=4, l=6)
-    knn = knn_impute(spark, r, q, ["A1"], "A2", k=4)
-    glr = glr_impute(spark, r, q, ["A1"], "A2")
+    got = METHODS["IIM"](spark, r, q, ["A1"], "A2", k=4, l=6)
+    knn = METHODS["kNN"](spark, r, q, ["A1"], "A2", k=4)
+    glr = METHODS["GLR"](spark, r, q, ["A1"], "A2")
     assert abs(got["imputed"][0] - knn["imputed"][0]) > 1e-6
     assert abs(got["imputed"][0] - glr["imputed"][0]) > 1e-6
